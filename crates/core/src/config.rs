@@ -428,8 +428,8 @@ mod tests {
         assert_eq!(tuned.schedule_policy, SchedulePolicy::MassDescending);
         assert!(tuned.work_stealing);
         assert!(tuned.query_staging);
-        // SessionCache keys on the config, so distinct knob settings
-        // must hash apart.
+        // The registry dedups sessions on the config, so distinct knob
+        // settings must hash apart.
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
         let fingerprint = |c: &GpumemConfig| {

@@ -272,104 +272,18 @@ impl RefSession {
     }
 }
 
-/// A cache of [`RefSession`]s keyed by *reference identity* (the
-/// `Arc` pointer) and the **full** [`GpumemConfig`].
-///
-/// Keying on the whole config — not just `(tile_len, seed_len)` or
-/// whatever subset happens to affect today's index layout — is what
-/// keeps seed-parameter variants apart: two configs that differ only
-/// in `step`, `seed_mode`, or `index_kind` produce different partial
-/// indexes (or different probe contracts against the same index) and
-/// must never share cached rows. The pointer half of the key is sound
-/// because every cached session holds its reference `Arc` alive, so
-/// the address cannot be recycled by a different sequence while the
-/// entry exists.
-pub struct SessionCache {
-    spec: DeviceSpec,
-    /// Two-level map: the outer lock only guards slot lookup/insertion
-    /// and is never held across a session construction; each key's
-    /// construction runs under its own slot lock, so concurrent callers
-    /// for *different* references (or configs) build in parallel while
-    /// callers for the *same* key still build exactly once.
-    sessions: Mutex<HashMap<(usize, GpumemConfig), SessionSlot>>,
-}
-
-/// One lazily built slot of a [`SessionCache`]: `None` until the first
-/// caller for the key constructs the session under the slot lock.
-type SessionSlot = Arc<Mutex<Option<Arc<RefSession>>>>;
-
-impl SessionCache {
-    /// An empty cache whose sessions validate against `spec`.
-    pub fn new(spec: DeviceSpec) -> SessionCache {
-        SessionCache {
-            spec,
-            sessions: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The session for `(reference, config)` — cached, or freshly
-    /// created (cold, unwarmed) and cached for everyone after.
-    pub fn session(
-        &self,
-        reference: &Arc<PackedSeq>,
-        config: GpumemConfig,
-    ) -> Result<Arc<RefSession>, RunError> {
-        let key = (Arc::as_ptr(reference) as usize, config.clone());
-        let slot = {
-            let mut sessions = self.sessions.lock();
-            Arc::clone(
-                sessions
-                    .entry(key.clone())
-                    .or_insert_with(|| Arc::new(Mutex::new(None))),
-            )
-        };
-        let mut guard = slot.lock();
-        if let Some(session) = guard.as_ref() {
-            return Ok(Arc::clone(session));
-        }
-        match RefSession::new(Arc::clone(reference), config, &self.spec) {
-            Ok(session) => {
-                let session = Arc::new(session);
-                *guard = Some(Arc::clone(&session));
-                Ok(session)
-            }
-            Err(e) => {
-                // Leave no empty slot behind so a failed construction
-                // doesn't count toward `len` (another in-flight caller
-                // holding this slot Arc will simply retry-and-fail on
-                // its own).
-                drop(guard);
-                let mut sessions = self.sessions.lock();
-                if let Some(current) = sessions.get(&key) {
-                    if Arc::ptr_eq(current, &slot) && slot.lock().is_none() {
-                        sessions.remove(&key);
-                    }
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// Number of cached sessions.
-    pub fn len(&self) -> usize {
-        self.sessions
-            .lock()
-            .values()
-            .filter(|slot| slot.lock().is_some())
-            .count()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// One query worker: a simulated device plus reusable run scratch and
-/// its share of the serving metrics.
+/// One query worker: a simulated device plus reusable run scratch,
+/// locked for the whole of a query.
 struct Worker {
     device: Device,
     scratch: RunScratch,
+}
+
+/// One worker's share of the serving load. Kept outside the worker's
+/// lock so [`Engine::metrics`] never waits on a running query (a
+/// [`MemSink`] may poll it mid-run).
+#[derive(Default)]
+struct WorkerLoad {
     /// Wall time this worker spent executing queries.
     busy: Duration,
     /// Queries this worker completed.
@@ -431,7 +345,7 @@ impl LatencyHistogram {
 
 /// One non-empty latency bucket: `count` queries took at most `le_us`
 /// (and more than `le_us / 2`) microseconds.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct LatencyBucket {
     /// Inclusive upper bound of the bucket, in microseconds.
     pub le_us: u64,
@@ -441,7 +355,7 @@ pub struct LatencyBucket {
 
 /// Query-latency summary (log-bucketed; quantiles are bucket upper
 /// bounds, so they are accurate to a factor of 2).
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct LatencySummary {
     /// Queries measured.
     pub count: u64,
@@ -460,7 +374,7 @@ pub struct LatencySummary {
 }
 
 /// Session index-cache counters.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct IndexCacheStats {
     /// Tile rows (cache slots) of the session.
     pub rows: u64,
@@ -476,7 +390,7 @@ pub struct IndexCacheStats {
 }
 
 /// One worker's share of the serving load.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct WorkerUtilization {
     /// Queries this worker completed.
     pub queries: u64,
@@ -490,7 +404,7 @@ pub struct WorkerUtilization {
 /// launches served so far: the load-balance and locality signals
 /// (warp efficiency, divergence, steals, block occupancy) that the
 /// scheduling and work-stealing knobs exist to move.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct DeviceCounters {
     /// Warp efficiency of the matching kernels (mean active-lane share
     /// of warp cycles; 1.0 = no intra-warp imbalance).
@@ -512,7 +426,7 @@ pub struct DeviceCounters {
 /// max/mean imbalance ratio as a first-class gauge (1.0 = perfectly
 /// balanced; the signal [`ShardPlan::from_row_masses`] exists to
 /// minimize).
-#[derive(Clone, Debug, Default, serde::Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ShardHealth {
     /// Queries served by a multi-shard run so far.
     pub sharded_runs: u64,
@@ -556,11 +470,11 @@ impl ShardHealth {
 }
 
 /// A point-in-time export of the engine's serving metrics, obtained
-/// from [`Engine::metrics`]; serializes directly to JSON. The unified
-/// exposition formats ([`crate::telemetry::render_prometheus`] /
+/// from [`Engine::metrics`]. The exposition formats
+/// ([`crate::telemetry::render_prometheus`] /
 /// [`crate::telemetry::render_json`]) are derived from this snapshot,
 /// so everything here is scrapeable.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct MetricsSnapshot {
     /// Seconds since the engine was created, on the engine's
     /// [`TelemetryClock`].
@@ -584,13 +498,6 @@ pub struct MetricsSnapshot {
     pub registry: RegistryStats,
     /// Sharded-execution health (zeroed until a sharded run happens).
     pub shards: ShardHealth,
-}
-
-impl MetricsSnapshot {
-    /// Render the snapshot as pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        serde::json::to_string_pretty(self)
-    }
 }
 
 /// What to run: one query or a whole batch, borrowed into a
@@ -694,8 +601,7 @@ struct RegistryBinding {
     handle: RefHandle,
 }
 
-/// Builds an [`Engine`] — the single construction surface replacing the
-/// old `new` / `with_spec` / `from_session` trio.
+/// Builds an [`Engine`] — its only construction surface.
 ///
 /// ```no_run
 /// # use gpumem_core::{Engine, GpumemConfig};
@@ -805,55 +711,46 @@ impl EngineBuilder {
             events: self.events,
             warp_floor: self.warp_floor,
         };
-        if let Some(session) = self.session {
-            if self.registry.is_some() {
+        let (session, spec, binding) = match (self.session, self.registry) {
+            (Some(_), Some(_)) => {
                 return Err(RunError::InvalidOptions(
                     "EngineBuilder::session is incompatible with EngineBuilder::registry; \
                      register the (reference, config) pair instead"
                         .to_string(),
-                ));
+                ))
             }
-            return Ok(Engine::assemble(
-                session,
-                self.spec,
-                self.threads,
-                None,
-                telemetry,
-            ));
-        }
-        let config = match self.config {
-            Some(config) => config,
-            None => GpumemConfig::builder(20)
-                .build()
-                .expect("default configuration is valid"),
+            (Some(session), None) => (session, self.spec, None),
+            (None, registry) => {
+                let config = match self.config {
+                    Some(config) => config,
+                    None => GpumemConfig::builder(20)
+                        .build()
+                        .expect("default configuration is valid"),
+                };
+                match registry {
+                    Some(registry) => {
+                        let name = self.name.as_deref().unwrap_or("default");
+                        let handle = registry.add(name, self.reference, config)?;
+                        let session = registry
+                            .pin_raw(handle)
+                            .expect("freshly added handle resolves");
+                        let spec = registry.spec().clone();
+                        (session, spec, Some(RegistryBinding { registry, handle }))
+                    }
+                    None => {
+                        let session = RefSession::new(self.reference, config, &self.spec)?;
+                        (Arc::new(session), self.spec, None)
+                    }
+                }
+            }
         };
-        match self.registry {
-            Some(registry) => {
-                let name = self.name.as_deref().unwrap_or("default");
-                let handle = registry.add(name, self.reference, config)?;
-                let session = registry
-                    .pin_raw(handle)
-                    .expect("freshly added handle resolves");
-                let spec = registry.spec().clone();
-                Ok(Engine::assemble(
-                    session,
-                    spec,
-                    self.threads,
-                    Some(RegistryBinding { registry, handle }),
-                    telemetry,
-                ))
-            }
-            None => {
-                let session = Arc::new(RefSession::new(self.reference, config, &self.spec)?);
-                Ok(Engine::assemble(
-                    session,
-                    self.spec,
-                    self.threads,
-                    None,
-                    telemetry,
-                ))
-            }
-        }
+        Ok(Engine::assemble(
+            session,
+            spec,
+            self.threads,
+            binding,
+            telemetry,
+        ))
     }
 }
 
@@ -865,22 +762,14 @@ struct EngineTelemetry {
     warp_floor: Option<f64>,
 }
 
-impl Default for EngineTelemetry {
-    fn default() -> EngineTelemetry {
-        EngineTelemetry {
-            clock: Arc::new(WallClock::new()),
-            events: None,
-            warp_floor: None,
-        }
-    }
-}
-
 /// The serving engine: a [`RefSession`] bound to a pool of query
 /// workers, optionally hosted in a [`Registry`].
 pub struct Engine {
     session: Arc<RefSession>,
     spec: DeviceSpec,
     workers: Vec<Mutex<Worker>>,
+    /// Per-worker load counters, indexed like `workers`.
+    loads: Vec<Mutex<WorkerLoad>>,
     /// Clock reading at assembly — `uptime_s` is measured from here.
     created_at: Duration,
     latency: Mutex<LatencyHistogram>,
@@ -903,14 +792,13 @@ struct ResolvedRun {
     _pin: Option<crate::registry::PinnedSession>,
 }
 
-/// A sink that just concatenates (the cross-shard merge needs the raw
-/// Global batch, not a canonicalized collector).
-struct VecSink(Vec<Mem>);
-
-impl MemSink for VecSink {
-    fn mems(&mut self, _stage: MemStage, mems: &[Mem]) {
-        self.0.extend_from_slice(mems);
-    }
+/// Where one query's MEMs go.
+enum Output<'s> {
+    /// Collect every batch and canonicalise into the returned result.
+    Collect,
+    /// Stream every batch into the caller's sink; the returned result
+    /// holds no MEMs.
+    Stream(&'s mut dyn MemSink),
 }
 
 /// Everything one shard brings home.
@@ -939,48 +827,6 @@ impl Engine {
         }
     }
 
-    /// Serve `reference` on the paper's Tesla K20c with one query
-    /// worker.
-    #[deprecated(note = "use Engine::builder(reference).config(config).build()")]
-    pub fn new(reference: PackedSeq, config: GpumemConfig) -> Result<Engine, RunError> {
-        Engine::builder(reference).config(config).build()
-    }
-
-    /// Serve `reference` on `query_threads` workers of an explicit
-    /// device spec (each worker simulates its own device).
-    #[deprecated(
-        note = "use Engine::builder(reference).config(config).spec(spec).threads(n).build()"
-    )]
-    pub fn with_spec(
-        reference: PackedSeq,
-        config: GpumemConfig,
-        spec: DeviceSpec,
-        query_threads: usize,
-    ) -> Result<Engine, RunError> {
-        Engine::builder(reference)
-            .config(config)
-            .spec(spec)
-            .threads(query_threads)
-            .build()
-    }
-
-    /// Bind an existing (possibly shared, possibly warmed) session to a
-    /// fresh worker pool.
-    #[deprecated(note = "use Engine::builder(reference).session(session).spec(spec).threads(n)")]
-    pub fn from_session(
-        session: Arc<RefSession>,
-        spec: DeviceSpec,
-        query_threads: usize,
-    ) -> Engine {
-        Engine::assemble(
-            session,
-            spec,
-            query_threads,
-            None,
-            EngineTelemetry::default(),
-        )
-    }
-
     fn assemble(
         session: Arc<RefSession>,
         spec: DeviceSpec,
@@ -988,13 +834,12 @@ impl Engine {
         registry: Option<RegistryBinding>,
         telemetry: EngineTelemetry,
     ) -> Engine {
-        let workers = (0..query_threads.max(1))
+        let n_workers = query_threads.max(1);
+        let workers = (0..n_workers)
             .map(|_| {
                 Mutex::new(Worker {
                     device: Device::new(spec.clone()),
                     scratch: RunScratch::new(session.config()),
-                    busy: Duration::ZERO,
-                    queries: 0,
                 })
             })
             .collect();
@@ -1002,6 +847,7 @@ impl Engine {
             session,
             spec,
             workers,
+            loads: (0..n_workers).map(|_| Mutex::default()).collect(),
             created_at: telemetry.clock.now(),
             latency: Mutex::new(LatencyHistogram::new()),
             build_wait: Mutex::new(Duration::ZERO),
@@ -1068,22 +914,37 @@ impl Engine {
         self.session.warm(&worker.device)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_on_worker(
+    /// The one per-query body behind collected, traced and streaming
+    /// runs: `query` on worker `w` under `run`'s session and config,
+    /// with `trace` installed as the device's launch observer when
+    /// given. Emits `run_start` and an `index_build` event per row it
+    /// builds; [`Engine::finish_query`] does the rest. Canonicalisation
+    /// of a collected run counts toward `match_wall` and the latency.
+    fn run_query(
         &self,
-        worker: &mut Worker,
+        w: usize,
         query: &PackedSeq,
-        sink: &mut dyn MemSink,
-        trace: Option<&TraceRecorder>,
-        session: &RefSession,
-        config: &GpumemConfig,
-    ) -> GpumemStats {
+        run: &ResolvedRun,
+        output: Output<'_>,
+        trace: Option<&Arc<TraceRecorder>>,
+    ) -> Result<GpumemResult, RunError> {
+        ensure_sort_key(query)?;
+        let t0 = Instant::now();
+        self.emit(|ts| Event::new("run_start", ts).with_u64("query_len", query.len() as u64));
+        let mut guard = self.workers[w].lock();
+        let worker = &mut *guard;
+        if let Some(recorder) = trace {
+            worker
+                .device
+                .set_observer(Some(crate::trace::as_observer(recorder)));
+        }
+        let query_span = trace.map(|r| r.begin("query", SpanCat::Run));
         // Time every row-index acquisition: building a cold row, or
         // waiting on another query's in-flight build of the same row.
         let mut build_wait = Duration::ZERO;
         let mut provider = |device: &Device, row: usize, _region: Region| {
             let t = Instant::now();
-            let out = session.row_index(device, row);
+            let out = run.session.row_index(device, row);
             build_wait += t.elapsed();
             // A cached row reports default (zero-launch) stats, so
             // launches > 0 is exactly "this call built the index".
@@ -1097,70 +958,69 @@ impl Engine {
             }
             out
         };
-        let stats = run_tiles(
+        let mut collector = MemCollector::default();
+        let (sink, collecting): (&mut dyn MemSink, bool) = match output {
+            Output::Collect => (&mut collector, true),
+            Output::Stream(sink) => (sink, false),
+        };
+        let mut stats = run_tiles(
             &worker.device,
-            config,
-            session.reference(),
+            &run.config,
+            run.session.reference(),
             query,
             &mut provider,
             &mut worker.scratch,
             sink,
-            trace,
+            trace.map(|r| &**r),
         );
+        let mut mems = Vec::new();
+        if collecting {
+            let t = Instant::now();
+            mems = collector.into_canonical();
+            stats.match_wall += t.elapsed();
+            stats.counts.total = mems.len();
+        }
+        if let (Some(recorder), Some(id)) = (trace, query_span) {
+            recorder.end(id);
+            worker.device.set_observer(None);
+        }
+        drop(guard);
         *self.build_wait.lock() += build_wait;
-        *self.matching_totals.lock() += stats.matching.clone();
-        stats
+        self.finish_query(w, query, t0.elapsed(), &stats);
+        Ok(GpumemResult { mems, stats })
     }
 
-    fn collect_on_worker(
-        &self,
-        worker: &mut Worker,
-        query: &PackedSeq,
-        session: &RefSession,
-        config: &GpumemConfig,
-    ) -> GpumemResult {
-        let t0 = Instant::now();
-        self.emit(|ts| Event::new("run_start", ts).with_u64("query_len", query.len() as u64));
-        let mut collector = MemCollector::default();
-        let mut stats = self.run_on_worker(worker, query, &mut collector, None, session, config);
-        let t = Instant::now();
-        let mems = collector.into_canonical();
-        stats.match_wall += t.elapsed();
-        stats.counts.total = mems.len();
-        self.record_query(worker, t0.elapsed());
-        self.emit_run_end(query, &stats, mems.len());
-        self.check_anomalies(&stats);
-        GpumemResult { mems, stats }
-    }
-
-    /// Emit the `run_end` event carrying the run's stage totals
-    /// (`index + matching`) — by construction the exact sum
+    /// The accounting tail of every query, single-device or sharded:
+    /// charge `latency` to worker `w` and the latency histogram, fold
+    /// the matching stats into the device counters, refresh the hosting
+    /// registry's LRU clock (which also enforces the byte budget,
+    /// charging any rows the query lazily built), and emit `run_end`
+    /// plus any anomaly events. `run_end` carries the run's stage
+    /// totals (`index + matching`) — by construction the exact sum
     /// [`Trace::stage_totals`] reports for a traced run, which is what
     /// lets the journal reconcile against the trace field for field.
-    fn emit_run_end(&self, query: &PackedSeq, stats: &GpumemStats, mems: usize) {
+    fn finish_query(&self, w: usize, query: &PackedSeq, latency: Duration, stats: &GpumemStats) {
+        {
+            let mut load = self.loads[w].lock();
+            load.busy += latency;
+            load.queries += 1;
+        }
+        self.latency.lock().record(latency);
+        *self.matching_totals.lock() += stats.matching.clone();
+        if let Some(binding) = &self.registry {
+            binding.registry.touch(binding.handle);
+        }
         self.emit(|ts| {
             let totals = stats.index.clone() + stats.matching.clone();
             Event::new("run_end", ts)
                 .with_u64("query_len", query.len() as u64)
-                .with_u64("mems", mems as u64)
+                .with_u64("mems", stats.counts.total as u64)
                 .with_u64("launches", totals.launches)
                 .with_u64("warp_cycles", totals.warp_cycles)
                 .with_u64("device_cycles", totals.device_cycles)
                 .with_f64("modeled_s", totals.modeled_secs())
         });
-    }
-
-    /// Account one completed query to the latency histogram, the
-    /// executing worker, and — when registry-hosted — the registry's
-    /// LRU clock (which also enforces the byte budget, charging any
-    /// rows the query lazily built).
-    fn record_query(&self, worker: &mut Worker, latency: Duration) {
-        worker.busy += latency;
-        worker.queries += 1;
-        self.latency.lock().record(latency);
-        if let Some(binding) = &self.registry {
-            binding.registry.touch(binding.handle);
-        }
+        self.check_anomalies(stats);
     }
 
     /// Resolve a request's options into the (session, config) pair to
@@ -1285,15 +1145,14 @@ impl Engine {
                         .into_par_iter()
                         .map(|i| {
                             let query = set.record_seq(i);
-                            ensure_sort_key(&query)?;
-                            let mut worker = self.workers[i % n_workers].lock();
                             Ok(RunOutput {
-                                result: self.collect_on_worker(
-                                    &mut worker,
+                                result: self.run_query(
+                                    i % n_workers,
                                     &query,
-                                    &resolved.session,
-                                    &resolved.config,
-                                ),
+                                    &resolved,
+                                    Output::Collect,
+                                    None,
+                                )?,
                                 trace: None,
                             })
                         })
@@ -1309,23 +1168,17 @@ impl Engine {
         resolved: &ResolvedRun,
         opts: &RunOptions,
     ) -> Result<RunOutput, RunError> {
-        ensure_sort_key(query)?;
         let shards = self.effective_shards(opts);
         if shards >= 2 {
             return self.run_sharded(query, resolved, opts, shards);
         }
-        if opts.trace {
-            let (result, trace) =
-                self.traced_on_worker0(query, &resolved.session, &resolved.config);
-            return Ok(RunOutput {
-                result,
-                trace: Some(trace),
-            });
-        }
-        let mut worker = self.workers[0].lock();
+        let recorder = opts
+            .trace
+            .then(|| Arc::new(TraceRecorder::new(self.spec.warp_size)));
+        let result = self.run_query(0, query, resolved, Output::Collect, recorder.as_ref())?;
         Ok(RunOutput {
-            result: self.collect_on_worker(&mut worker, query, &resolved.session, &resolved.config),
-            trace: None,
+            result,
+            trace: recorder.map(|r| r.snapshot()),
         })
     }
 
@@ -1341,6 +1194,7 @@ impl Engine {
         opts: &RunOptions,
         n_shards: usize,
     ) -> Result<RunOutput, RunError> {
+        ensure_sort_key(query)?;
         let session = &resolved.session;
         let config = &resolved.config;
         let reference = session.reference();
@@ -1406,7 +1260,7 @@ impl Engine {
             cols: tiling.as_ref().map_or(0, Tiling::n_cols),
             ..GpumemStats::default()
         };
-        let mut mems: Vec<Mem> = Vec::new();
+        let mut collector = MemCollector::default();
         let mut fragments: Vec<Mem> = Vec::new();
         let mut traces: Vec<Trace> = Vec::new();
         for run in shard_runs {
@@ -1418,39 +1272,32 @@ impl Engine {
             stats.counts.out_block += run.stats.counts.out_block;
             stats.counts.in_tile += run.stats.counts.in_tile;
             stats.shard_matching.push(run.stats.matching);
-            mems.extend(run.mems);
+            collector.mems.extend(run.mems);
             fragments.extend(run.fragments);
             *self.build_wait.lock() += run.build_wait;
             if let Some(trace) = run.trace {
                 traces.push(trace);
             }
         }
-        *self.matching_totals.lock() += stats.matching.clone();
 
         // The cross-shard global merge: one host merge over every
         // shard's fragments, exactly what a single device would feed it.
-        let mut global = VecSink(Vec::new());
         finish_global(
             reference,
             query,
             fragments,
             config.min_len,
-            &mut global,
+            &mut collector,
             None,
             &mut stats,
         );
-        mems.extend(global.0);
         let t = Instant::now();
-        let mems = canonicalize(mems);
+        let mems = collector.into_canonical();
         stats.match_wall += t.elapsed();
         stats.counts.total = mems.len();
 
-        let mut worker = self.workers[0].lock();
-        self.record_query(&mut worker, t0.elapsed());
-        drop(worker);
         self.shard_health.lock().record(&stats.shard_matching);
-        self.emit_run_end(query, &stats, mems.len());
-        self.check_anomalies(&stats);
+        self.finish_query(0, query, t0.elapsed(), &stats);
         let trace = (!traces.is_empty()).then(|| Trace::merge(traces));
         Ok(RunOutput {
             result: GpumemResult { mems, stats },
@@ -1511,65 +1358,20 @@ impl Engine {
         }
     }
 
-    fn traced_on_worker0(
-        &self,
-        query: &PackedSeq,
-        session: &RefSession,
-        config: &GpumemConfig,
-    ) -> (GpumemResult, Trace) {
-        let mut worker = self.workers[0].lock();
-        let recorder = Arc::new(TraceRecorder::new(worker.device.spec().warp_size));
-        worker
-            .device
-            .set_observer(Some(crate::trace::as_observer(&recorder)));
-        let query_span = recorder.begin("query", SpanCat::Run);
-        let t0 = Instant::now();
-        self.emit(|ts| Event::new("run_start", ts).with_u64("query_len", query.len() as u64));
-        let mut collector = MemCollector::default();
-        let mut stats = self.run_on_worker(
-            &mut worker,
-            query,
-            &mut collector,
-            Some(&recorder),
-            session,
-            config,
-        );
-        let mems = collector.into_canonical();
-        stats.counts.total = mems.len();
-        recorder.end(query_span);
-        worker.device.set_observer(None);
-        self.record_query(&mut worker, t0.elapsed());
-        self.emit_run_end(query, &stats, mems.len());
-        self.check_anomalies(&stats);
-        (GpumemResult { mems, stats }, recorder.snapshot())
-    }
-
     /// Stream one query's MEMs into `sink` as stages complete (see the
     /// module docs for the ordering contract). A warmed session makes
     /// this a zero-index-launch operation. The streaming sibling of
     /// [`Engine::execute`] (a sink has no [`RunOutput`] shape, so this
-    /// stays its own entry point).
+    /// stays its own entry point). The sink may poll
+    /// [`Engine::metrics`] mid-run.
     pub fn run_with_sink(
         &self,
         query: &PackedSeq,
         sink: &mut dyn MemSink,
     ) -> Result<GpumemStats, RunError> {
-        ensure_sort_key(query)?;
-        let t0 = Instant::now();
-        self.emit(|ts| Event::new("run_start", ts).with_u64("query_len", query.len() as u64));
-        let mut worker = self.workers[0].lock();
-        let stats = self.run_on_worker(
-            &mut worker,
-            query,
-            sink,
-            None,
-            &self.session,
-            self.session.config(),
-        );
-        self.record_query(&mut worker, t0.elapsed());
-        self.emit_run_end(query, &stats, stats.counts.total);
-        self.check_anomalies(&stats);
-        Ok(stats)
+        let run = self.resolve_options(&RunOptions::default())?;
+        self.run_query(0, query, &run, Output::Stream(sink), None)
+            .map(|result| result.stats)
     }
 
     /// Run one query, collecting the canonical MEM set — the
@@ -1644,25 +1446,24 @@ impl Engine {
             misses: built,
             build_wait_s: self.build_wait.lock().as_secs_f64(),
         };
-        let warp_size = self.workers[0].lock().device.spec().warp_size;
         let totals = self.matching_totals.lock().clone();
         let device = DeviceCounters {
-            warp_efficiency: totals.warp_efficiency(warp_size),
+            warp_efficiency: totals.warp_efficiency(self.spec.warp_size),
             divergence_rate: totals.divergence_rate(),
             steal_events: totals.steal_events,
             block_occupancy: totals.block_occupancy(),
             busiest_block_cycles: totals.busiest_block_cycles,
         };
         let workers = self
-            .workers
+            .loads
             .iter()
-            .map(|w| {
-                let w = w.lock();
+            .map(|load| {
+                let load = load.lock();
                 WorkerUtilization {
-                    queries: w.queries,
-                    busy_s: w.busy.as_secs_f64(),
+                    queries: load.queries,
+                    busy_s: load.busy.as_secs_f64(),
                     utilization: if uptime > 0.0 {
-                        w.busy.as_secs_f64() / uptime
+                        load.busy.as_secs_f64() / uptime
                     } else {
                         0.0
                     },
@@ -1887,6 +1688,51 @@ mod tests {
     }
 
     #[test]
+    fn sink_may_poll_metrics_mid_run() {
+        // A sink that reads the engine's metrics from inside `mems()`:
+        // the query holds its worker for the whole run, so `metrics()`
+        // must not need any worker lock. The run goes on its own thread
+        // so a deadlock fails the test instead of hanging it.
+        struct Poller {
+            engine: Arc<Engine>,
+            polls: u64,
+        }
+        impl MemSink for Poller {
+            fn mems(&mut self, _stage: MemStage, _mems: &[Mem]) {
+                let m = self.engine.metrics();
+                assert_eq!(m.queries, 0, "the in-flight query is not yet counted");
+                assert_eq!(m.workers.len(), 1);
+                self.polls += 1;
+            }
+        }
+
+        let reference = GenomeModel::mammalian().generate(3_000, 846);
+        let engine = Arc::new(engine_of(&reference, config(20), 1));
+        let (done, finished) = std::sync::mpsc::channel();
+        let runner = {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || {
+                let mut sink = Poller {
+                    engine: Arc::clone(&engine),
+                    polls: 0,
+                };
+                let stats = engine.run_with_sink(&reference, &mut sink).unwrap();
+                done.send((sink.polls, stats)).unwrap();
+            })
+        };
+        // On a deadlock the runner never finishes; fail without joining.
+        let (polls, stats) = finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("Engine::metrics() deadlocked inside a MemSink callback");
+        runner.join().expect("runner thread panicked");
+        assert!(polls > 0, "self-comparison streams at least one batch");
+        assert!(stats.counts.total > 0);
+        let m = engine.metrics();
+        assert_eq!(m.queries, 1);
+        assert_eq!(m.workers[0].queries, 1);
+    }
+
+    #[test]
     fn session_rejects_oversized_working_set() {
         let mut spec = DeviceSpec::test_tiny();
         spec.global_mem_bytes = 1 << 16; // 64 KiB device
@@ -1973,74 +1819,6 @@ mod tests {
     }
 
     #[test]
-    fn session_cache_never_shares_across_seed_parameters() {
-        use gpumem_index::SeedMode;
-        // L = 25, ℓs = 8 → dual bound 18; (4, 3) is the auto pair.
-        let dual = GpumemConfig::builder(25)
-            .seed_len(8)
-            .threads_per_block(8)
-            .blocks_per_tile(2)
-            .seed_mode(SeedMode::DualSampled { k1: 4, k2: 3 })
-            .build()
-            .unwrap();
-        let ref_only = GpumemConfig::builder(25)
-            .seed_len(8)
-            .threads_per_block(8)
-            .blocks_per_tile(2)
-            .build()
-            .unwrap();
-        assert_ne!(dual, ref_only);
-
-        let reference = Arc::new(GenomeModel::mammalian().generate(4_000, 815));
-        let query = GenomeModel::mammalian().generate(1_500, 816);
-        let cache = SessionCache::new(DeviceSpec::test_tiny());
-
-        // Warm RefOnly fully, then request the dual-mode session: it
-        // must be a distinct, still-cold session — not the warmed
-        // RefOnly rows (whose denser step-6 index would violate the
-        // dual probe contract).
-        let warm = cache.session(&reference, ref_only.clone()).unwrap();
-        let engine_warm = Engine::builder(Arc::clone(&reference))
-            .session(Arc::clone(&warm))
-            .spec(DeviceSpec::test_tiny())
-            .build()
-            .unwrap();
-        engine_warm.warm();
-        assert_eq!(warm.built_rows(), warm.rows());
-
-        let cold = cache.session(&reference, dual.clone()).unwrap();
-        assert!(
-            !Arc::ptr_eq(&warm, &cold),
-            "configs differing only in seed parameters shared a session"
-        );
-        assert_eq!(cold.built_rows(), 0, "dual session inherited warm rows");
-        assert_eq!(cache.len(), 2);
-
-        // And the dual session still answers correctly.
-        let engine_cold = Engine::builder(Arc::clone(&reference))
-            .session(cold)
-            .spec(DeviceSpec::test_tiny())
-            .build()
-            .unwrap();
-        let got = engine_cold.run(&query).unwrap();
-        assert_eq!(got.mems, naive_mems(&reference, &query, 25));
-
-        // Same reference + identical config → the cached Arc comes
-        // back.
-        let again = cache.session(&reference, ref_only).unwrap();
-        assert!(Arc::ptr_eq(&warm, &again));
-        assert_eq!(cache.len(), 2);
-
-        // A different reference never aliases, even with an equal
-        // config.
-        let other = Arc::new(GenomeModel::mammalian().generate(4_000, 817));
-        let third = cache.session(&other, dual).unwrap();
-        assert!(!Arc::ptr_eq(&third, &engine_cold.session().clone()));
-        assert_eq!(cache.len(), 3);
-        assert!(!cache.is_empty());
-    }
-
-    #[test]
     fn engine_run_traced_matches_untraced_and_reconciles() {
         let reference = GenomeModel::mammalian().generate(2_000, 813);
         let engine = engine_of(&reference, config(16), 1);
@@ -2061,68 +1839,6 @@ mod tests {
         let after = engine.run(&q).unwrap();
         assert_eq!(after.mems, plain.mems);
         assert_eq!(engine.metrics().queries, 3);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_shims_still_work() {
-        let reference = GenomeModel::mammalian().generate(1_500, 830);
-        let query = GenomeModel::mammalian().generate(900, 831);
-        let expect = naive_mems(&reference, &query, 16);
-
-        let a = Engine::new(reference.clone(), config(16)).unwrap();
-        assert_eq!(a.run(&query).unwrap().mems, expect);
-
-        let b =
-            Engine::with_spec(reference.clone(), config(16), DeviceSpec::test_tiny(), 2).unwrap();
-        assert_eq!(b.run(&query).unwrap().mems, expect);
-        assert_eq!(b.query_threads(), 2);
-
-        let session = Arc::new(
-            RefSession::new(
-                Arc::new(reference.clone()),
-                config(16),
-                &DeviceSpec::test_tiny(),
-            )
-            .unwrap(),
-        );
-        let c = Engine::from_session(session, DeviceSpec::test_tiny(), 1);
-        assert_eq!(c.run(&query).unwrap().mems, expect);
-    }
-
-    #[test]
-    fn session_cache_builds_different_references_in_parallel() {
-        // Regression test for the map-lock-held-across-construction bug:
-        // pre-insert reference A's slot and hold its *slot* lock (as an
-        // in-flight construction would), then ask the cache for
-        // reference B from this thread while a second thread is parked
-        // on A. With the old single-lock design the parked thread held
-        // the whole map hostage and this call deadlocked; now it
-        // completes while A is still "building".
-        let cache = Arc::new(SessionCache::new(DeviceSpec::test_tiny()));
-        let ref_a = Arc::new(GenomeModel::mammalian().generate(1_000, 832));
-        let ref_b = Arc::new(GenomeModel::mammalian().generate(1_000, 833));
-
-        let key_a = (Arc::as_ptr(&ref_a) as usize, config(16));
-        let slot_a = Arc::new(Mutex::new(None));
-        cache.sessions.lock().insert(key_a, Arc::clone(&slot_a));
-        let in_flight = slot_a.lock();
-
-        let parked = {
-            let cache = Arc::clone(&cache);
-            let ref_a = Arc::clone(&ref_a);
-            std::thread::spawn(move || cache.session(&ref_a, config(16)).unwrap())
-        };
-        // Give the parked thread time to reach A's slot lock; whether it
-        // has or not, B must not be blocked by A's construction.
-        std::thread::sleep(Duration::from_millis(20));
-        let session_b = cache.session(&ref_b, config(16)).unwrap();
-        assert!(Arc::ptr_eq(session_b.reference_arc(), &ref_b));
-
-        drop(in_flight);
-        let session_a = parked.join().unwrap();
-        assert!(Arc::ptr_eq(session_a.reference_arc(), &ref_a));
-        assert_eq!(cache.len(), 2);
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub mod trace;
 pub use config::{ConfigError, GpumemConfig, GpumemConfigBuilder, IndexKind, SchedulePolicy};
 pub use engine::{
     DeviceCounters, Engine, EngineBuilder, MemCollector, MemSink, MemStage, MetricsSnapshot,
-    Queries, RefSession, RunOptions, RunOutput, RunRequest, SessionCache, ShardHealth,
+    Queries, RefSession, RunOptions, RunOutput, RunRequest, ShardHealth,
 };
 pub use expand::Bounds;
 pub use gpumem_index::SeedMode;

@@ -64,7 +64,7 @@ struct Inner {
 /// Point-in-time registry counters; folded into
 /// [`MetricsSnapshot`](crate::engine::MetricsSnapshot) (zeros with
 /// `attached: false` when the engine has no registry).
-#[derive(Clone, Debug, Default, serde::Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RegistryStats {
     /// `true` when these counters come from a live registry.
     pub attached: bool,
@@ -84,13 +84,6 @@ pub struct RegistryStats {
     pub misses: u64,
     /// Sessions evicted to stay under the budget.
     pub evictions: u64,
-}
-
-impl RegistryStats {
-    /// Render the counters as pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        serde::json::to_string_pretty(self)
-    }
 }
 
 /// One row of [`Registry::list`].
@@ -259,23 +252,10 @@ impl Registry {
     /// Pin `handle`'s session: the returned guard keeps it immune to
     /// eviction until dropped. A touch, like [`Registry::session`].
     pub fn pin(self: &Arc<Self>, handle: RefHandle) -> Option<PinnedSession> {
-        let mut inner = self.inner.lock();
-        let (session, pins) = {
-            let entry = inner.entries.get_mut(&handle.0)?;
-            entry.pins += 1;
-            (Arc::clone(&entry.session), entry.pins)
-        };
-        self.touch_locked(&mut inner, handle.0);
-        drop(inner);
-        self.emit(|ts| {
-            Event::new("pin", ts)
-                .with_u64("handle", handle.0)
-                .with_u64("pins", pins as u64)
-        });
         Some(PinnedSession {
+            session: self.pin_raw(handle)?,
             registry: Arc::clone(self),
             handle,
-            session,
         })
     }
 
@@ -529,6 +509,75 @@ mod tests {
         assert_eq!(list.len(), 2);
         assert_eq!(list[0].name, "one");
         assert_eq!(list[0].ref_len, 2_000);
+    }
+
+    #[test]
+    fn add_never_shares_sessions_across_seed_parameters() {
+        use crate::engine::Engine;
+        use gpumem_index::SeedMode;
+        use gpumem_seq::naive_mems;
+        // L = 25, ℓs = 8 → dual bound 18; (4, 3) is the auto pair.
+        let seeded = |mode: SeedMode| {
+            GpumemConfig::builder(25)
+                .seed_len(8)
+                .threads_per_block(8)
+                .blocks_per_tile(2)
+                .seed_mode(mode)
+                .build()
+                .unwrap()
+        };
+        let ref_only = seeded(SeedMode::RefOnly);
+        let dual = seeded(SeedMode::DualSampled { k1: 4, k2: 3 });
+        assert_ne!(dual, ref_only);
+
+        let spec = DeviceSpec::test_tiny();
+        let reg = Arc::new(Registry::new(spec.clone()));
+        let r = reference(4_000, 815);
+        let query = GenomeModel::mammalian().generate(1_500, 816);
+
+        // Warm RefOnly fully, then register the dual-mode config: it
+        // must get a distinct, still-cold session — not the warmed
+        // RefOnly rows (whose denser step-6 index would violate the
+        // dual probe contract).
+        let h_ref = reg.add("ref", Arc::clone(&r), ref_only.clone()).unwrap();
+        let warm = reg.session(h_ref).unwrap();
+        warm.warm(&Device::new(spec));
+        assert_eq!(warm.built_rows(), warm.rows());
+
+        let h_dual = reg.add("dual", Arc::clone(&r), dual.clone()).unwrap();
+        assert_ne!(h_ref, h_dual);
+        let cold = reg.session(h_dual).unwrap();
+        assert!(
+            !Arc::ptr_eq(&warm, &cold),
+            "configs differing only in seed parameters shared a session"
+        );
+        assert_eq!(cold.built_rows(), 0, "dual session inherited warm rows");
+        assert_eq!(reg.len(), 2);
+
+        // And the dual session still answers correctly: an engine on the
+        // same pair resolves to it.
+        let engine = Engine::builder(Arc::clone(&r))
+            .config(dual.clone())
+            .registry(Arc::clone(&reg))
+            .build()
+            .unwrap();
+        assert!(Arc::ptr_eq(engine.session(), &cold));
+        let got = engine.run(&query).unwrap();
+        assert_eq!(got.mems, naive_mems(&r, &query, 25));
+
+        // Same reference + identical config → the same session.
+        let again = reg.add("ref-again", Arc::clone(&r), ref_only).unwrap();
+        assert_eq!(again, h_ref);
+        assert!(Arc::ptr_eq(&warm, &reg.session(again).unwrap()));
+        assert_eq!(reg.len(), 2);
+
+        // A different reference never aliases, even with an equal
+        // config.
+        let other = reference(4_000, 817);
+        let h_other = reg.add("other", other, dual).unwrap();
+        assert_ne!(h_other, h_dual);
+        assert!(!Arc::ptr_eq(&reg.session(h_other).unwrap(), &cold));
+        assert_eq!(reg.len(), 3);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! simulator, [`MetricsSnapshot`](crate::engine::MetricsSnapshot) on
 //! the engine, [`RegistryStats`](crate::registry::RegistryStats) on the
 //! registry, per-shard stats on
-//! [`GpumemStats::shard_matching`](crate::pipeline::GpumemStats) — each
-//! with its own ad-hoc JSON shape. This module gives them one scrape
-//! surface:
+//! [`GpumemStats::shard_matching`](crate::pipeline::GpumemStats). This
+//! module gives them one scrape surface and the repository's one
+//! metrics JSON format:
 //!
 //! * [`MetricsRegistry`] — a catalog of typed instruments
 //!   ([`Counter`], [`Gauge`], log₂ [`Histogram`]) with stable names,
@@ -235,34 +235,14 @@ impl HistCell {
     }
 }
 
-/// A log₂ histogram handle: [`Histogram::observe`] buckets each value
-/// into powers of two, like the engine's latency histogram.
+/// A histogram handle, filled from an externally bucketed series (the
+/// engine's log₂ latency histogram) by [`Histogram::set_series`].
 #[derive(Clone)]
 pub struct Histogram {
     cell: Arc<Mutex<HistCell>>,
 }
 
 impl Histogram {
-    /// Record one observation: it lands in the smallest power-of-two
-    /// bucket `2^k ≥ v` (non-positive values land in the lowest
-    /// bucket used so far or `1.0`).
-    pub fn observe(&self, v: f64) {
-        let le = if v > 0.0 {
-            let mut k = v.log2().ceil();
-            // Guard the float-log edge: ensure 2^k really covers v.
-            if 2f64.powi(k as i32) < v {
-                k += 1.0;
-            }
-            2f64.powi(k as i32)
-        } else {
-            1.0
-        };
-        let mut cell = self.cell.lock();
-        cell.record(le, 1);
-        cell.sum += v.max(0.0);
-        cell.count += 1;
-    }
-
     /// Replace the histogram's contents with an externally accumulated
     /// series — the re-plumbing path for the engine's latency
     /// histogram. `buckets` are `(inclusive upper bound, count)` pairs
@@ -1119,8 +1099,8 @@ pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
     registry.render_prometheus()
 }
 
-/// One-call JSON exposition of a snapshot (the registry's JSON shape,
-/// not [`MetricsSnapshot::to_json`]'s raw field dump).
+/// One-call JSON exposition of a snapshot — what `gpumem-cli metrics
+/// export --format json` prints and `gpumem-cli run --metrics` writes.
 pub fn render_json(snap: &MetricsSnapshot) -> String {
     let registry = MetricsRegistry::new();
     export_snapshot(&registry, snap);
@@ -1144,20 +1124,6 @@ mod tests {
         assert!((c.get() - 10.0).abs() < 1e-12);
         // Same (name, labels) resolves to the same cell.
         assert!((reg.counter("test_total", "help").get() - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_buckets_by_log2() {
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("lat_seconds", "help");
-        h.observe(3.0); // -> le 4
-        h.observe(4.0); // -> le 4 (inclusive upper bound)
-        h.observe(0.3); // -> le 0.5
-        let text = reg.render_prometheus();
-        assert!(text.contains("lat_seconds_bucket{le=\"0.5\"} 1"), "{text}");
-        assert!(text.contains("lat_seconds_bucket{le=\"4\"} 3"), "{text}");
-        assert!(text.contains("lat_seconds_bucket{le=\"+Inf\"} 3"), "{text}");
-        assert!(text.contains("lat_seconds_count 3"), "{text}");
     }
 
     #[test]

@@ -245,7 +245,7 @@ impl Trace {
                 pid: 1,
                 tid: span.track as u64,
                 args: EventArgs {
-                    stats: span.stats.clone(),
+                    stats: span.stats.clone().map(LaunchJson),
                     warp_efficiency: span
                         .stats
                         .as_ref()
@@ -278,7 +278,7 @@ impl Trace {
                         stats: None,
                         warp_efficiency: Some(phase.warp_efficiency(self.warp_size)),
                         divergence_rate: None,
-                        phase: Some(phase.clone()),
+                        phase: Some(PhaseJson(phase.clone())),
                     },
                 });
                 cursor += dur;
@@ -445,10 +445,75 @@ struct ChromeEvent {
 
 #[derive(serde::Serialize)]
 struct EventArgs {
-    stats: Option<LaunchStats>,
+    stats: Option<LaunchJson>,
     warp_efficiency: Option<f64>,
     divergence_rate: Option<f64>,
-    phase: Option<PhaseStats>,
+    phase: Option<PhaseJson>,
+}
+
+/// Write `value` as a JSON object with one field per listed struct
+/// field, in order. The destructuring pattern makes the list
+/// exhaustive: a field added to the struct fails to compile here.
+macro_rules! json_object {
+    ($s:expr, $value:expr, $ty:ident { $($field:ident),* $(,)? }) => {{
+        let $ty { $($field),* } = $value;
+        $s.begin_object();
+        $($s.field(stringify!($field), $field);)*
+        $s.end_object();
+    }};
+}
+
+/// A launch's [`LaunchStats`] in a trace event's `args`.
+struct LaunchJson(LaunchStats);
+
+impl serde::Serialize for LaunchJson {
+    fn serialize(&self, s: &mut serde::Serializer) {
+        json_object!(
+            s,
+            &self.0,
+            LaunchStats {
+                launches,
+                blocks,
+                warps,
+                warp_cycles,
+                lane_cycles,
+                device_cycles,
+                modeled_time,
+                wall_time,
+                divergence_events,
+                atomic_ops,
+                global_mem_ops,
+                comparisons,
+                steal_events,
+                busiest_block_cycles,
+                pool_allocs,
+                pool_peak_bytes,
+            }
+        );
+    }
+}
+
+/// One in-kernel phase's [`PhaseStats`] in a trace event's `args`.
+struct PhaseJson(PhaseStats);
+
+impl serde::Serialize for PhaseJson {
+    fn serialize(&self, s: &mut serde::Serializer) {
+        json_object!(
+            s,
+            &self.0,
+            PhaseStats {
+                name,
+                warps,
+                warp_cycles,
+                lane_cycles,
+                divergence_events,
+                atomic_ops,
+                global_mem_ops,
+                comparisons,
+                steal_events,
+            }
+        );
+    }
 }
 
 /// Convenience for an observer installation: recorders are installed as

@@ -25,7 +25,6 @@ use crate::stats::LaunchStats;
 /// launch totals but no phase), so phase counters sum to *at most* the
 /// launch totals.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct PhaseStats {
     /// Phase name (the string passed to `BlockCtx::phase`).
     pub name: String,

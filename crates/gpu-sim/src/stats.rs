@@ -10,7 +10,6 @@ use std::time::Duration;
 /// counter and sums under `+`; those two are gauges and merge by `max`
 /// (the peak of a union of launches is the largest peak, not the sum).
 #[derive(Clone, Debug, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct LaunchStats {
     /// Number of kernel launches folded into this value.
     pub launches: u64,

@@ -11,8 +11,8 @@
 //!                                                      flag regressions against the
 //!                                                      recorded bench trajectory
 //!
-//! The bare flag form `gpumem-cli [OPTIONS] <ref> <query>` still works
-//! as an alias for `run` but is deprecated (a note goes to stderr).
+//! `run` is the only way to extract MEMs; any other first argument is a
+//! usage error.
 //!
 //! RUN OPTIONS:
 //!   --tool <gpumem|mummer|essamem|sparsemem|slamem>   finder (default gpumem)
@@ -48,9 +48,11 @@
 //!   --trace <path>       write a Chrome Trace Event JSON of the run
 //!                        (open in Perfetto / chrome://tracing);
 //!                        gpumem only
-//!   --metrics <path>     write the serving engine's metrics snapshot
-//!                        (latency histogram, index-cache, workers) as
-//!                        JSON; gpumem only
+//!   --metrics <path>     write the serving metrics (latency histogram,
+//!                        index cache, workers, registry) as the
+//!                        registry JSON exposition — the document
+//!                        `metrics export --format json` prints;
+//!                        gpumem only
 //!   --profile            print a per-stage/per-phase profile table to
 //!                        stderr; gpumem only
 //! ```
@@ -74,7 +76,9 @@
 //!            [--budget <bytes>] [--rounds N]   warm every reference in
 //!                                              rounds under the byte
 //!                                              budget, print the
-//!                                              registry counters as JSON
+//!                                              registry counter families
+//!                                              in the registry JSON
+//!                                              exposition
 //! ```
 //!
 //! `metrics export` runs a query batch through a registry-hosted engine
@@ -442,7 +446,8 @@ fn run_gpumem(
         }
     }
     if let Some(path) = &opts.metrics {
-        std::fs::write(path, engine.metrics().to_json()).map_err(|e| format!("{path}: {e}"))?;
+        std::fs::write(path, telemetry::render_json(&engine.metrics()))
+            .map_err(|e| format!("{path}: {e}"))?;
     }
 
     let mut out = Vec::with_capacity(queries.records.len());
@@ -520,7 +525,7 @@ fn run_finder(
 
 fn usage() {
     eprintln!(
-        "usage: gpumem-cli run [--tool T] [--min-len L] [--seed-len ls] [--seed-mode ref|dual[:k1,k2]] [--sparseness K] [--threads t] [--query-threads n] [--shards n] [--schedule-policy inorder|mass] [--work-stealing] [--query-staging] [--both-strands] [--mum] [--rare t] [--stats] [--sanitize] [--trace out.json] [--metrics out.json] [--profile] <reference.fa> <query.fa>\n       gpumem-cli registry add <handles.tsv> <name> <reference.fa> [--min-len L] [--seed-len ls]\n       gpumem-cli registry list <handles.tsv>\n       gpumem-cli registry evict-stats <handles.tsv> [--budget bytes] [--rounds N]\n       gpumem-cli metrics export [--format prometheus|json] [--min-len L] [--seed-len ls] [--query-threads n] [--shards n] [--journal events.jsonl] <reference.fa> <query.fa>\n       gpumem-cli bench-info [--min-len L] [--check [--max-regress R] [--history results/bench_history.jsonl]]"
+        "usage: gpumem-cli <run|registry|metrics|bench-info> ...\n       gpumem-cli run [--tool T] [--min-len L] [--seed-len ls] [--seed-mode ref|dual[:k1,k2]] [--sparseness K] [--threads t] [--query-threads n] [--shards n] [--schedule-policy inorder|mass] [--work-stealing] [--query-staging] [--both-strands] [--mum] [--rare t] [--stats] [--sanitize] [--trace out.json] [--metrics out.json] [--profile] <reference.fa> <query.fa>\n       gpumem-cli registry add <handles.tsv> <name> <reference.fa> [--min-len L] [--seed-len ls]\n       gpumem-cli registry list <handles.tsv>\n       gpumem-cli registry evict-stats <handles.tsv> [--budget bytes] [--rounds N]\n       gpumem-cli metrics export [--format prometheus|json] [--min-len L] [--seed-len ls] [--query-threads n] [--shards n] [--journal events.jsonl] <reference.fa> <query.fa>\n       gpumem-cli bench-info [--min-len L] [--check [--max-regress R] [--history results/bench_history.jsonl]]"
     );
 }
 
@@ -539,10 +544,12 @@ fn main() -> ExitCode {
             usage();
             ExitCode::from(2)
         }
-        _ => {
-            // The pre-subcommand flag form: keep it working, nudge once.
-            eprintln!("note: flag-style invocation is deprecated; use `gpumem-cli run ...`");
-            run_main(&argv)
+        Some(other) => {
+            eprintln!(
+                "error: unknown command {other} (expected run, registry, metrics or bench-info)\n"
+            );
+            usage();
+            ExitCode::from(2)
         }
     }
 }
@@ -802,7 +809,9 @@ fn registry_evict_stats(argv: &[String]) -> Result<(), String> {
             registry.touch(handle);
         }
     }
-    println!("{}", registry.stats().to_json());
+    let metrics = telemetry::MetricsRegistry::new();
+    telemetry::export_registry_stats(&metrics, &registry.stats());
+    println!("{}", metrics.render_json());
     Ok(())
 }
 

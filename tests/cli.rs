@@ -7,6 +7,7 @@ use std::process::Command;
 use gpumem::seq::{write_fasta, FastaRecord, GenomeModel, MutationModel, PackedSeq};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use serde::json::parse;
 
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_gpumem-cli"))
@@ -48,6 +49,7 @@ fn all_tools_print_identical_matches() {
     let run = |tool: &str| -> String {
         let out = cli()
             .args([
+                "run",
                 "--tool",
                 tool,
                 "--min-len",
@@ -79,7 +81,7 @@ fn mum_filter_is_a_subset() {
     let (ref_fa, query_fa) = write_pair(&dir);
 
     let lines = |extra: &[&str]| -> Vec<String> {
-        let mut args = vec!["--tool", "mummer", "--min-len", "25"];
+        let mut args = vec!["run", "--tool", "mummer", "--min-len", "25"];
         args.extend_from_slice(extra);
         args.push(ref_fa.as_str());
         args.push(query_fa.as_str());
@@ -109,6 +111,7 @@ fn sanitize_flag_reports_clean_run() {
 
     let out = cli()
         .args([
+            "run",
             "--tool",
             "gpumem",
             "--min-len",
@@ -129,6 +132,7 @@ fn sanitize_flag_reports_clean_run() {
     // The report must not change the matches themselves.
     let plain = cli()
         .args([
+            "run",
             "--tool",
             "gpumem",
             "--min-len",
@@ -145,13 +149,17 @@ fn sanitize_flag_reports_clean_run() {
 
 #[test]
 fn bad_usage_fails_cleanly() {
-    let out = cli().arg("only-one-file.fa").output().expect("binary runs");
+    let out = cli()
+        .args(["run", "only-one-file.fa"])
+        .output()
+        .expect("binary runs");
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("usage:"), "{err}");
 
     let out = cli()
         .args([
+            "run",
             "--tool",
             "nonsense",
             "/nonexistent/a.fa",
@@ -199,7 +207,7 @@ fn multi_record_query_groups_hits_and_names_records() {
     let all_fa = write("queries.fa", &records);
 
     let run = |tool: &str, query_fa: &str, extra: &[&str]| -> String {
-        let mut args = vec!["--tool", tool, "--min-len", "25"];
+        let mut args = vec!["run", "--tool", tool, "--min-len", "25"];
         args.extend_from_slice(extra);
         args.push(ref_fa.as_str());
         args.push(query_fa);
@@ -242,7 +250,7 @@ fn seed_mode_dual_matches_ref_only_output() {
     let (ref_fa, query_fa) = write_pair(&dir);
 
     let run = |extra: &[&str]| -> String {
-        let mut args = vec!["--tool", "gpumem", "--min-len", "25"];
+        let mut args = vec!["run", "--tool", "gpumem", "--min-len", "25"];
         args.extend_from_slice(extra);
         args.push(ref_fa.as_str());
         args.push(query_fa.as_str());
@@ -271,7 +279,7 @@ fn seed_mode_validation_errors_are_structured() {
     let (ref_fa, query_fa) = write_pair(&dir);
 
     let fail = |extra: &[&str]| -> String {
-        let mut args = vec!["--tool", "gpumem", "--min-len", "25"];
+        let mut args = vec!["run", "--tool", "gpumem", "--min-len", "25"];
         args.extend_from_slice(extra);
         args.push(ref_fa.as_str());
         args.push(query_fa.as_str());
@@ -306,7 +314,15 @@ fn locality_knobs_preserve_cli_output() {
     let (ref_fa, query_fa) = write_pair(&dir);
 
     let run = |extra: &[&str]| -> String {
-        let mut args = vec!["--tool", "gpumem", "--min-len", "25", "--seed-len", "8"];
+        let mut args = vec![
+            "run",
+            "--tool",
+            "gpumem",
+            "--min-len",
+            "25",
+            "--seed-len",
+            "8",
+        ];
         args.extend_from_slice(extra);
         args.push(ref_fa.as_str());
         args.push(query_fa.as_str());
@@ -339,6 +355,7 @@ fn locality_knobs_preserve_cli_output() {
 
     let out = cli()
         .args([
+            "run",
             "--schedule-policy",
             "banana",
             ref_fa.as_str(),
@@ -352,21 +369,22 @@ fn locality_knobs_preserve_cli_output() {
 }
 
 #[test]
-fn run_subcommand_matches_legacy_form_which_notes_deprecation() {
+fn bare_flag_form_is_a_usage_error() {
     let dir = std::env::temp_dir().join("gpumem-cli-test-subcmd");
     std::fs::create_dir_all(&dir).unwrap();
     let (ref_fa, query_fa) = write_pair(&dir);
 
-    let legacy = cli()
+    // `run` is the only way to extract MEMs: the old flag-first form
+    // fails with usage and prints no matches.
+    let bare = cli()
         .args(["--tool", "gpumem", "--min-len", "25", &ref_fa, &query_fa])
         .output()
         .expect("binary runs");
-    assert!(legacy.status.success());
-    let err = String::from_utf8_lossy(&legacy.stderr);
-    assert!(
-        err.contains("deprecated"),
-        "missing deprecation note: {err}"
-    );
+    assert_eq!(bare.status.code(), Some(2));
+    assert!(bare.stdout.is_empty());
+    let err = String::from_utf8_lossy(&bare.stderr);
+    assert!(err.contains("unknown command --tool"), "{err}");
+    assert!(err.contains("usage:"), "{err}");
 
     let sub = cli()
         .args([
@@ -381,12 +399,11 @@ fn run_subcommand_matches_legacy_form_which_notes_deprecation() {
         .output()
         .expect("binary runs");
     assert!(sub.status.success());
-    let err = String::from_utf8_lossy(&sub.stderr);
     assert!(
-        !err.contains("deprecated"),
-        "run subcommand should not warn: {err}"
+        sub.stderr.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&sub.stderr)
     );
-    assert_eq!(sub.stdout, legacy.stdout, "the two forms must agree");
     assert!(!sub.stdout.is_empty(), "expected matches");
 }
 
@@ -513,24 +530,23 @@ fn registry_subcommands_round_trip() {
         "evict-stats failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stats = String::from_utf8(out.stdout).unwrap();
-    for key in [
-        "\"references\"",
-        "\"evictions\"",
-        "\"resident_bytes\"",
-        "\"hits\"",
-    ] {
-        assert!(stats.contains(key), "missing {key} in {stats}");
-    }
-    let evictions: u64 = stats
-        .lines()
-        .find(|l| l.contains("\"evictions\""))
-        .and_then(|l| l.split(':').nth(1))
-        .map(|v| v.trim().trim_end_matches(',').parse().unwrap())
-        .unwrap();
+    // The registry counter families, in the registry JSON exposition.
+    let doc = parse(&String::from_utf8(out.stdout).unwrap()).expect("valid JSON exposition");
+    let families = doc.get("metrics").unwrap().as_array().unwrap();
+    let value = |name: &str| -> f64 {
+        let family = families
+            .iter()
+            .find(|f| f.get("name").and_then(|n| n.as_str()) == Some(name))
+            .unwrap_or_else(|| panic!("missing family {name}"));
+        let samples = family.get("samples").unwrap().as_array().unwrap();
+        samples[0].get("value").unwrap().as_f64().unwrap()
+    };
+    assert_eq!(value("gpumem_registry_references"), 2.0);
+    assert!(value("gpumem_registry_resident_bytes") >= 0.0);
+    assert!(value("gpumem_registry_hits_total") >= 0.0);
     assert!(
-        evictions > 0,
-        "expected churn under a 4 KiB budget: {stats}"
+        value("gpumem_registry_evictions_total") > 0.0,
+        "expected churn under a 4 KiB budget"
     );
 }
 
@@ -564,7 +580,7 @@ fn both_strands_superset_and_strand_column() {
     let (ref_fa, query_fa) = write_pair(&dir);
 
     let run = |extra: &[&str]| -> Vec<String> {
-        let mut args = vec!["--tool", "mummer", "--min-len", "25"];
+        let mut args = vec!["run", "--tool", "mummer", "--min-len", "25"];
         args.extend_from_slice(extra);
         args.push(ref_fa.as_str());
         args.push(query_fa.as_str());

@@ -1,8 +1,8 @@
 //! End-to-end tests of the observability surface of `gpumem-cli`:
 //! `--trace` emits valid Chrome Trace Event JSON whose Stage events
-//! reconcile with the run, `--metrics` emits a well-formed serving
-//! snapshot, `--profile` prints the stage table, and none of the three
-//! may change the match output.
+//! reconcile with the run, `--metrics` writes the serving metrics as the
+//! registry JSON exposition, `--profile` prints the stage table, and
+//! none of the three may change the match output.
 
 use std::io::Write;
 use std::process::Command;
@@ -57,13 +57,14 @@ fn trace_flag_emits_chrome_trace_json_that_reconciles() {
     let trace_path = dir.join("trace.json");
 
     let baseline = cli()
-        .args(["--min-len", "25", &ref_fa, &query_fa])
+        .args(["run", "--min-len", "25", &ref_fa, &query_fa])
         .output()
         .expect("binary runs");
     assert!(baseline.status.success());
 
     let out = cli()
         .args([
+            "run",
             "--min-len",
             "25",
             "--trace",
@@ -153,6 +154,7 @@ fn metrics_flag_emits_serving_snapshot() {
 
     let out = cli()
         .args([
+            "run",
             "--min-len",
             "25",
             "--metrics",
@@ -168,35 +170,52 @@ fn metrics_flag_emits_serving_snapshot() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    let m = parse(&std::fs::read_to_string(&metrics_path).unwrap()).expect("valid JSON");
-    assert_eq!(field(&m, "queries").as_u64(), Some(1));
-    assert!(field(&m, "uptime_s").as_f64().unwrap() > 0.0);
+    // The registry JSON exposition: {"metrics": [{"name", "kind",
+    // "help", "samples": [...]}]}.
+    let doc = parse(&std::fs::read_to_string(&metrics_path).unwrap()).expect("valid JSON");
+    let families = field(&doc, "metrics").as_array().unwrap();
+    let samples = |name: &str| -> &[Value] {
+        let family = families
+            .iter()
+            .find(|f| field(f, "name").as_str() == Some(name))
+            .unwrap_or_else(|| panic!("missing family {name}"));
+        field(family, "samples").as_array().unwrap()
+    };
+    let value = |name: &str| field(&samples(name)[0], "value").as_f64().unwrap();
 
-    let latency = field(&m, "latency");
+    assert_eq!(value("gpumem_queries_total"), 1.0);
+    assert!(value("gpumem_uptime_seconds") > 0.0);
+
+    let latency = &samples("gpumem_query_latency_seconds")[0];
     assert_eq!(field(latency, "count").as_u64(), Some(1));
-    assert!(field(latency, "mean_ms").as_f64().unwrap() > 0.0);
-    assert!(field(latency, "max_ms").as_f64().unwrap() > 0.0);
-    assert!(field(latency, "p50_ms").as_f64().unwrap() > 0.0);
-    let buckets = field(latency, "buckets").as_array().unwrap();
-    let bucketed: u64 = buckets
+    assert!(field(latency, "sum").as_f64().unwrap() > 0.0);
+    assert!(value("gpumem_query_latency_mean_seconds") > 0.0);
+    assert!(value("gpumem_query_latency_max_seconds") > 0.0);
+    let p50 = samples("gpumem_query_latency_quantile_seconds")
+        .iter()
+        .find(|s| field(field(s, "labels"), "quantile").as_str() == Some("0.5"))
+        .expect("p50 sample");
+    assert!(field(p50, "value").as_f64().unwrap() > 0.0);
+    let bucketed: u64 = field(latency, "buckets")
+        .as_array()
+        .unwrap()
         .iter()
         .map(|b| field(b, "count").as_u64().unwrap())
         .sum();
     assert_eq!(bucketed, 1, "the one query lands in exactly one bucket");
 
     // One cold query builds every row index once and never hits.
-    let cache = field(&m, "index_cache");
-    let rows = field(cache, "rows").as_u64().unwrap();
-    assert!(rows > 0);
-    assert_eq!(field(cache, "built").as_u64(), Some(rows));
-    assert_eq!(field(cache, "misses").as_u64(), Some(rows));
-    assert_eq!(field(cache, "hits").as_u64(), Some(0));
-    assert!(field(cache, "build_wait_s").as_f64().unwrap() > 0.0);
+    let rows = value("gpumem_index_cache_rows");
+    assert!(rows > 0.0);
+    assert_eq!(value("gpumem_index_cache_built_total"), rows);
+    assert_eq!(value("gpumem_index_cache_misses_total"), rows);
+    assert_eq!(value("gpumem_index_cache_hits_total"), 0.0);
+    assert!(value("gpumem_index_cache_build_wait_seconds_total") > 0.0);
 
-    let workers = field(&m, "workers").as_array().unwrap();
+    let workers = samples("gpumem_worker_queries_total");
     assert_eq!(workers.len(), 1);
-    assert_eq!(field(&workers[0], "queries").as_u64(), Some(1));
-    let utilization = field(&workers[0], "utilization").as_f64().unwrap();
+    assert_eq!(field(&workers[0], "value").as_f64(), Some(1.0));
+    let utilization = value("gpumem_worker_utilization");
     assert!(utilization > 0.0 && utilization <= 1.0);
 }
 
@@ -207,7 +226,7 @@ fn profile_flag_prints_stage_table_to_stderr() {
     let (ref_fa, query_fa) = write_pair(&dir);
 
     let out = cli()
-        .args(["--min-len", "25", "--profile", &ref_fa, &query_fa])
+        .args(["run", "--min-len", "25", "--profile", &ref_fa, &query_fa])
         .output()
         .expect("binary runs");
     assert!(
@@ -235,6 +254,7 @@ fn observability_flags_reject_cpu_tools() {
 
     let out = cli()
         .args([
+            "run",
             "--tool",
             "mummer",
             "--min-len",

@@ -618,6 +618,42 @@ fn cli_metrics_export_emits_both_formats_and_a_journal() {
     let doc = parse(&String::from_utf8(json.stdout).unwrap()).expect("valid JSON exposition");
     let metrics = doc.get("metrics").unwrap().as_array().unwrap();
     assert_eq!(metrics.len(), FAMILIES.len());
+
+    // `run --metrics` writes the same document shape with the same
+    // metric families.
+    let metrics_path = dir.join("run-metrics.json");
+    let run = cli()
+        .args([
+            "run",
+            "--min-len",
+            "20",
+            "--seed-len",
+            "6",
+            "--shards",
+            "2",
+            "--metrics",
+            metrics_path.to_str().unwrap(),
+            &ref_fa,
+            &query_fa,
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(
+        run.status.success(),
+        "run --metrics failed: {}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let written = parse(&std::fs::read_to_string(&metrics_path).unwrap()).expect("valid JSON");
+    let names = |families: &[serde::json::Value]| -> Vec<String> {
+        families
+            .iter()
+            .map(|f| f.get("name").unwrap().as_str().unwrap().to_string())
+            .collect()
+    };
+    assert_eq!(
+        names(written.get("metrics").unwrap().as_array().unwrap()),
+        names(metrics)
+    );
 }
 
 #[test]
