@@ -2,20 +2,26 @@
 //!
 //! See the crate docs for the model. In short: blocks execute
 //! *sequentially on the launching thread* in ascending `block_id`
-//! order (the vendored rayon stand-in is a sequential shim, so the
-//! simulation is deterministic and kernels may capture host state
-//! behind a plain `Mutex` without contention) while being
+//! order (so the simulation is deterministic and kernels may capture
+//! host state behind a plain `Mutex` without contention) while being
 //! *cost-modeled* as parallel across SMs; inside a block,
 //! [`BlockCtx::simt`] runs a closure once per logical thread, warp by
 //! warp; each region boundary is a block barrier; warp cost is the max
 //! over lane costs plus a divergence serialization charge.
+//!
+//! Data-oblivious kernels, whose blocks' charges depend only on a small
+//! per-block key (a chunk length, a seed count), launch through
+//! [`Device::launch_classed`]: one block per class is interpreted and
+//! the rest are **replayed** — their data effect runs on the host in
+//! bulk and they are charged the interpreted block's counters, so the
+//! statistics are exactly those of a fully interpreted launch.
 
+use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use rayon::prelude::*;
 
 use crate::cost::{CostModel, Op};
 use crate::memory::{GpuU32, GpuU64};
@@ -161,11 +167,46 @@ impl Device {
     }
 
     /// [`Device::launch`] with a kernel name for sanitizer reports.
+    ///
+    /// Every block is interpreted: this is [`Device::launch_classed`]
+    /// with each block in a class of its own.
     pub fn launch_named<K: BlockKernel>(
         &self,
         cfg: LaunchConfig,
         name: &str,
         kernel: &K,
+    ) -> LaunchStats {
+        self.launch_classed(cfg, name, |block_id| block_id as u64, kernel, |_| {})
+    }
+
+    /// Launch with **block-class replay** for data-oblivious kernels.
+    ///
+    /// `class(block_id)` is evaluated for every block before any block
+    /// runs. The first block of each class is interpreted lane by lane;
+    /// every later block of that class instead runs `effect(block_id)`,
+    /// which must perform exactly the block's data effect on the host,
+    /// and is charged a copy of the interpreted block's counters and
+    /// phase rows. The contract, which callers must uphold:
+    ///
+    /// * the class determines the block's counters — two blocks of one
+    ///   class charge identical lane costs, branches and memory ops;
+    /// * `effect(b)` leaves device memory exactly as interpreting block
+    ///   `b` would.
+    ///
+    /// Blocks (interpreted or replayed) still run in ascending
+    /// `block_id` order, and the per-block counters are aggregated as if
+    /// every block had been interpreted, so the statistics equal a
+    /// launch where every block is its own class. While a sanitizer
+    /// session is active, every block is interpreted so hazard analysis
+    /// sees every access. Debug builds also interpret the last block of
+    /// each class and assert its counters equal the first block's.
+    pub fn launch_classed<K: BlockKernel>(
+        &self,
+        cfg: LaunchConfig,
+        name: &str,
+        class: impl Fn(usize) -> u64,
+        kernel: &K,
+        mut effect: impl FnMut(usize),
     ) -> LaunchStats {
         assert!(
             cfg.block_dim <= self.spec.max_threads_per_block,
@@ -180,21 +221,49 @@ impl Device {
         let observer = self.observer.lock().clone();
         let phases_enabled = observer.is_some();
         let start = Instant::now();
-        let results: Vec<(BlockOut, Vec<PhaseStats>)> = (0..cfg.grid_dim)
-            .into_par_iter()
-            .map(|block_id| {
-                let mut ctx = BlockCtx::new(
-                    block_id,
-                    cfg,
-                    &self.cost,
-                    self.spec.warp_size,
-                    self.spec.shared_mem_per_block,
-                    phases_enabled,
-                );
-                kernel.block(&mut ctx);
-                ctx.finish()
-            })
-            .collect();
+        let replay = !sanitizing();
+        let classes: Vec<u64> = (0..cfg.grid_dim).map(class).collect();
+        // Last block of each class, interpreted as the debug self-check.
+        let mut last_of: HashMap<u64, usize> = HashMap::new();
+        if cfg!(debug_assertions) {
+            for (block_id, &c) in classes.iter().enumerate() {
+                last_of.insert(c, block_id);
+            }
+        }
+        // First (interpreted) block of each class.
+        let mut first_of: HashMap<u64, usize> = HashMap::new();
+        let mut results: Vec<(BlockOut, Vec<PhaseStats>)> = Vec::with_capacity(cfg.grid_dim);
+        for (block_id, &c) in classes.iter().enumerate() {
+            let first = first_of.get(&c).copied();
+            let result = match first {
+                Some(first) if replay && last_of.get(&c) != Some(&block_id) => {
+                    effect(block_id);
+                    results[first].clone()
+                }
+                _ => {
+                    let mut ctx = BlockCtx::new(
+                        block_id,
+                        cfg,
+                        &self.cost,
+                        self.spec.warp_size,
+                        self.spec.shared_mem_per_block,
+                        phases_enabled,
+                    );
+                    kernel.block(&mut ctx);
+                    let result = ctx.finish();
+                    if let Some(first) = first {
+                        debug_assert_eq!(
+                            result, results[first],
+                            "{name}: block {block_id} and block {first} share class {c} \
+                             but charge different counters"
+                        );
+                    }
+                    first_of.entry(c).or_insert(block_id);
+                    result
+                }
+            };
+            results.push(result);
+        }
         let wall = start.elapsed();
         #[cfg(feature = "sanitize")]
         crate::sanitizer::end_launch();
@@ -285,7 +354,16 @@ impl Device {
     }
 }
 
+/// Whether a sanitizer session is active (which disables replay).
+fn sanitizing() -> bool {
+    #[cfg(feature = "sanitize")]
+    return crate::sanitizer::enabled();
+    #[cfg(not(feature = "sanitize"))]
+    return false;
+}
+
 /// Per-block accumulation, reduced into [`LaunchStats`] after the launch.
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct BlockOut {
     warps: u64,
     warp_cycles: u64,
@@ -1248,6 +1326,71 @@ mod tests {
         assert_eq!(a.modeled_time, b.modeled_time);
         assert_eq!(a.divergence_events, b.divergence_events);
         assert_eq!(a.comparisons, b.comparisons);
+    }
+
+    #[test]
+    fn replay_runs_effects_and_copies_counters_and_phases() {
+        // Eight blocks in two classes (even/odd); odd blocks charge
+        // more. Every block of a class stores the same amount, so the
+        // class determines the counters, as the contract requires.
+        let run = |class: &dyn Fn(usize) -> u64| {
+            let device = tiny();
+            let recorder = Arc::new(Recorder::default());
+            device.set_observer(Some(recorder.clone()));
+            let out = GpuU32::new(8 * 32);
+            let replayed = Mutex::new(Vec::new());
+            let mut stats = device.launch_classed(
+                LaunchConfig::new(8, 32),
+                "classed",
+                class,
+                &|ctx: &mut BlockCtx<'_>| {
+                    let block = ctx.block_id;
+                    ctx.phase("store");
+                    ctx.simt(|lane| {
+                        lane.compare(1 + (block % 2) as u64);
+                        lane.st32(&out, block * 32 + lane.tid, block as u32);
+                    });
+                },
+                |block| {
+                    replayed.lock().push(block);
+                    out.map_range(block * 32..(block + 1) * 32, |_| block as u32);
+                },
+            );
+            stats.wall_time = Duration::ZERO;
+            let phases = recorder.records.lock()[0].2.clone();
+            (stats, phases, out.to_vec(), replayed.into_inner())
+        };
+        let (stats, phases, out, replayed) = run(&|block| (block % 2) as u64);
+        let (full_stats, full_phases, full_out, none) = run(&|block| block as u64);
+        assert!(none.is_empty(), "singleton classes are never replayed");
+        assert_eq!(stats, full_stats);
+        assert_eq!(phases, full_phases);
+        assert_eq!(out, full_out);
+        // Blocks 0/1 are the interpreted representatives; debug builds
+        // also interpret each class's last block (6/7) as a self-check.
+        let expect: Vec<usize> = if cfg!(debug_assertions) {
+            vec![2, 3, 4, 5]
+        } else {
+            vec![2, 3, 4, 5, 6, 7]
+        };
+        assert_eq!(replayed, expect);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "share class")]
+    fn debug_self_check_catches_a_class_that_hides_counters() {
+        let device = tiny();
+        device.launch_classed(
+            LaunchConfig::new(3, 32),
+            "misclassed",
+            |_| 0,
+            &|ctx: &mut BlockCtx<'_>| {
+                let block = ctx.block_id as u64;
+                ctx.simt(|lane| lane.compare(1 + block));
+            },
+            |_| {},
+        );
     }
 
     #[test]

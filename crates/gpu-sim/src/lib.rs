@@ -8,8 +8,8 @@
 //!
 //! * a kernel is launched over a 1-D **grid of blocks**; the simulator
 //!   executes blocks *sequentially on the launching thread*, in
-//!   ascending `block_id` order (the vendored rayon is a sequential
-//!   stand-in), while *cost-modeling* them as distributed across SMs —
+//!   ascending `block_id` order, while *cost-modeling* them as
+//!   distributed across SMs —
 //!   execution is therefore fully deterministic, and block order is an
 //!   asserted invariant, not an accident of scheduling;
 //! * inside a block, code is written as a sequence of **SIMT regions**

@@ -2,8 +2,8 @@
 //!
 //! Blocks run concurrently on different CPU threads, so global buffers
 //! use relaxed atomics per element. Relaxed is sufficient: the
-//! simulator's launch boundary is a full synchronization point (rayon
-//! join), matching a CUDA kernel-launch boundary, and within a launch
+//! simulator's launch boundary is a full synchronization point,
+//! matching a CUDA kernel-launch boundary, and within a launch
 //! the paper's algorithms only communicate through `atomicAdd`-reserved
 //! disjoint slots.
 //!
@@ -13,6 +13,7 @@
 //! reads and writes are *not* hazard-checked: the simulator only runs
 //! them between launches, like `cudaMemcpy` on a synchronized stream.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 #[cfg(feature = "sanitize")]
@@ -231,6 +232,31 @@ impl GpuU32 {
         }
         for (cell, &v) in self.data[start..start + src.len()].iter().zip(src) {
             cell.store(v, Ordering::Relaxed);
+        }
+    }
+
+    /// Bulk host-side read-modify-write: replace each element of
+    /// `range`, in ascending order, with `f(old)`. Marks the range
+    /// initialized with one sanitizer report.
+    pub fn map_range(&self, range: Range<usize>, mut f: impl FnMut(u32) -> u32) {
+        #[cfg(feature = "sanitize")]
+        if crate::sanitizer::enabled() {
+            crate::sanitizer::host_write(&self.meta, range.start, range.end);
+        }
+        for cell in &self.data[range] {
+            cell.store(f(cell.load(Ordering::Relaxed)), Ordering::Relaxed);
+        }
+    }
+
+    /// Bulk host-side copy of `src[range]` into `self[range]` (a
+    /// device-to-device `cudaMemcpy`). Marks the range initialized.
+    pub fn copy_from(&self, src: &GpuU32, range: Range<usize>) {
+        #[cfg(feature = "sanitize")]
+        if crate::sanitizer::enabled() {
+            crate::sanitizer::host_write(&self.meta, range.start, range.end);
+        }
+        for (cell, from) in self.data[range.clone()].iter().zip(&src.data[range]) {
+            cell.store(from.load(Ordering::Relaxed), Ordering::Relaxed);
         }
     }
 }

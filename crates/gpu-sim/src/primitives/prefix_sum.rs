@@ -73,7 +73,19 @@ const SCAN_BLOCK_DIM: usize = 256;
 /// In-place device-wide **exclusive** scan of a global buffer:
 /// `buf[i] ← Σ_{j<i} buf[j]`. Returns the accumulated launch stats of
 /// all passes. This is `GPUPrefixSum(ptrs)` from Algorithm 1.
+///
+/// Both per-chunk kernels are data-oblivious: a block's charges depend
+/// only on its chunk length, so they launch through
+/// [`Device::launch_classed`] keyed on it and all full chunks but one
+/// are replayed as host scans / offset adds.
 pub fn device_exclusive_scan(device: &Device, buf: &GpuU32) -> LaunchStats {
+    scan_classed(device, buf, &|_, chunk_len| chunk_len as u64)
+}
+
+/// [`device_exclusive_scan`] with the block class given as
+/// `class(block_id, chunk_len)`; tests pass a class per block to compare
+/// replay against full interpretation.
+fn scan_classed(device: &Device, buf: &GpuU32, class: &dyn Fn(usize, usize) -> u64) -> LaunchStats {
     let n = buf.len();
     if n == 0 {
         return LaunchStats::default();
@@ -81,6 +93,8 @@ pub fn device_exclusive_scan(device: &Device, buf: &GpuU32) -> LaunchStats {
     let n_chunks = n.div_ceil(SCAN_CHUNK);
     let sums = device.alloc_u32(n_chunks, "scan.sums");
     const PER_THREAD: usize = SCAN_CHUNK.div_ceil(SCAN_BLOCK_DIM);
+    let chunk = |block_id: usize| block_id * SCAN_CHUNK..((block_id + 1) * SCAN_CHUNK).min(n);
+    let chunk_class = |block_id: usize| class(block_id, chunk(block_id).len());
 
     // Per-block shared-memory scratch, hoisted out of the launch: blocks
     // execute sequentially (see `exec` docs), so one buffer behind a
@@ -90,10 +104,11 @@ pub fn device_exclusive_scan(device: &Device, buf: &GpuU32) -> LaunchStats {
 
     // Pass 1: each block exclusively scans its chunk and records the
     // chunk total.
-    let mut stats = device.launch_fn_named(
+    let mut stats = device.launch_classed(
         LaunchConfig::new(n_chunks, SCAN_BLOCK_DIM),
         "scan.local",
-        |ctx| {
+        chunk_class,
+        &|ctx: &mut BlockCtx<'_>| {
             let chunk_start = ctx.block_id * SCAN_CHUNK;
             let chunk_end = (chunk_start + SCAN_CHUNK).min(n);
             let m = chunk_end - chunk_start;
@@ -129,17 +144,27 @@ pub fn device_exclusive_scan(device: &Device, buf: &GpuU32) -> LaunchStats {
                 }
             });
         },
+        |block_id| {
+            let mut acc = 0u32;
+            buf.map_range(chunk(block_id), |v| {
+                let out = acc;
+                acc = acc.wrapping_add(v);
+                out
+            });
+            sums.store(block_id, acc);
+        },
     );
 
     // Pass 2: scan the chunk totals (recursive; depth is logarithmic).
     if n_chunks > 1 {
-        stats += device_exclusive_scan(device, &sums);
+        stats += scan_classed(device, &sums, class);
 
         // Pass 3: add each chunk's offset to its elements.
-        stats += device.launch_fn_named(
+        stats += device.launch_classed(
             LaunchConfig::new(n_chunks, SCAN_BLOCK_DIM),
             "scan.add_offsets",
-            |ctx| {
+            chunk_class,
+            &|ctx: &mut BlockCtx<'_>| {
                 let chunk_start = ctx.block_id * SCAN_CHUNK;
                 let chunk_end = (chunk_start + SCAN_CHUNK).min(n);
                 let block_id = ctx.block_id;
@@ -155,6 +180,10 @@ pub fn device_exclusive_scan(device: &Device, buf: &GpuU32) -> LaunchStats {
                     }
                     lane.st32_slice(buf, lo, &vals[..k]);
                 });
+            },
+            |block_id| {
+                let offset = sums.load(block_id);
+                buf.map_range(chunk(block_id), |v| v.wrapping_add(offset));
             },
         );
     }
@@ -257,6 +286,31 @@ mod tests {
             assert_eq!(buf.to_vec(), host_exclusive(&input), "n = {n}");
             assert!(stats.launches >= 1);
             assert!(stats.global_mem_ops > 0);
+        }
+    }
+
+    #[test]
+    fn replayed_scan_equals_fully_interpreted_scan() {
+        let mut rng = StdRng::seed_from_u64(4096);
+        for n in [
+            1,
+            SCAN_CHUNK - 1,
+            SCAN_CHUNK,
+            SCAN_CHUNK + 1,
+            3 * SCAN_CHUNK + 17,
+            (1 << 20) + 5,
+        ] {
+            let input: Vec<u32> = (0..n).map(|_| rng.gen_range(0..1000)).collect();
+            let run = |class: &dyn Fn(usize, usize) -> u64| {
+                let buf = GpuU32::from_slice(&input);
+                let mut stats = scan_classed(&device(), &buf, class);
+                stats.wall_time = std::time::Duration::ZERO;
+                (stats, buf.to_vec())
+            };
+            let interpreted = run(&|block_id, _| block_id as u64);
+            let replayed = run(&|_, chunk_len| chunk_len as u64);
+            assert_eq!(replayed, interpreted, "n = {n}");
+            assert_eq!(replayed.1, host_exclusive(&input), "n = {n}");
         }
     }
 

@@ -124,6 +124,30 @@ pub fn run_overlapping_reservation(hazardous: bool) -> SanitizeReport {
     session.finish()
 }
 
+/// Hazard in a replayed block: four blocks of one replay class each
+/// store to their own slot; when hazardous, block 2 (neither the first
+/// nor the last of its class) stores to block 1's slot instead. Under
+/// a session every block is interpreted, so the replay effect must
+/// never run and the race must still be seen.
+pub fn run_replayed_race(hazardous: bool) -> SanitizeReport {
+    let session = Session::start();
+    let out = GpuU32::named(4, "fixture.replayed");
+    device().launch_classed(
+        LaunchConfig::new(4, 32),
+        "replay_fixture",
+        |_| 0,
+        &|ctx: &mut crate::exec::BlockCtx<'_>| {
+            let block = ctx.block_id;
+            ctx.simt_range(0..1, |lane| {
+                let slot = if hazardous && block == 2 { 1 } else { block };
+                lane.st32(&out, slot, block as u32);
+            });
+        },
+        |block_id| panic!("block {block_id} replayed under a sanitizer session"),
+    );
+    session.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,6 +242,23 @@ mod tests {
         assert_eq!(second.kernel, "reserve_fixture");
 
         let clean = run_overlapping_reservation(false);
+        assert!(clean.is_clean(), "clean twin flagged:\n{clean}");
+    }
+
+    #[test]
+    fn hazard_in_replayed_block_flagged_and_clean_twin_passes() {
+        let report = run_replayed_race(true);
+        let hits = of_class(&report, HazardClass::InterBlockRace);
+        assert!(!hits.is_empty(), "race not flagged:\n{report}");
+        let h = hits[0];
+        assert_eq!(h.buffer, "fixture.replayed");
+        assert_eq!(h.elems, 1..2);
+        let second = h.second.as_ref().expect("races have two sites");
+        let mut blocks = [h.first.block, second.block];
+        blocks.sort_unstable();
+        assert_eq!(blocks, [1, 2], "the replayed block's store is seen");
+
+        let clean = run_replayed_race(false);
         assert!(clean.is_clean(), "clean twin flagged:\n{clean}");
     }
 

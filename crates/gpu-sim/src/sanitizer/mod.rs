@@ -1,7 +1,7 @@
 //! Shadow-memory hazard sanitizer for the SIMT simulator.
 //!
-//! The simulator executes lanes sequentially and blocks under rayon,
-//! so whole families of CUDA bugs — inter-block data races, missing
+//! The simulator executes lanes and blocks sequentially, so whole
+//! families of CUDA bugs — inter-block data races, missing
 //! `__syncthreads()`, out-of-bounds indexing, reads of uninitialized
 //! `cudaMalloc` memory, double-booked `atomicAdd` slot reservations —
 //! run *deterministically correct* here while they would corrupt
@@ -34,7 +34,7 @@
 //!
 //! * Sessions are global and serialized: [`Session::start`] blocks
 //!   until any other live session finishes. A session observes only
-//!   launches made from the thread that started it (the vendored rayon
+//!   launches made from the thread that started it (the simulator
 //!   executes blocks on the launching thread), so concurrently running
 //!   tests cannot pollute each other's reports.
 //! * Only accesses made *through a lane* are instrumented. Host-side
@@ -87,7 +87,7 @@ pub(crate) struct LaunchMeta {
 
 struct State {
     /// The thread that started the session. Instrumentation is confined
-    /// to it: the vendored rayon executes blocks on the launching
+    /// to it: the simulator executes blocks on the launching
     /// thread, and confining the session keeps concurrently running
     /// tests (which launch kernels of their own) out of the capture.
     owner: ThreadId,

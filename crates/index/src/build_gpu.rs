@@ -12,13 +12,20 @@
 //! 4. **sort** — one thread per *seed* sorts its bucket
 //!    ([`gpu_sim::primitives::lane_sort_bucket`]).
 //!
+//! The per-seed kernels (scan, cursor copy, sort) run over all `4^ℓs`
+//! seeds however few locations the region samples. Their blocks are
+//! data-oblivious, so they launch through [`Device::launch_classed`]:
+//! one block per class is interpreted and the rest are replayed on the
+//! host, with modeled statistics identical to full interpretation.
+//! Count and fill stay fully interpreted.
+//!
 //! Like the CPU builders, the kernels take the reference sampling
 //! `step` as an opaque stride: under [`crate::SeedMode::DualSampled`]
 //! the same four kernels run with `step = k1`, and the co-prime query
 //! step `k2` is applied by the pipeline when probing, not here.
 
 use gpu_sim::primitives::{device_exclusive_scan, lane_sort_bucket};
-use gpu_sim::{Device, LaunchConfig, LaunchStats, Op};
+use gpu_sim::{BlockCtx, Device, GpuU32, LaunchConfig, LaunchStats, Op};
 
 use gpumem_seq::PackedSeq;
 
@@ -30,6 +37,8 @@ const BLOCK_DIM: usize = 256;
 /// Seeds handled per thread in the copy/sort kernels (strided loops keep
 /// the grid size reasonable for `4^13` seeds).
 const SEEDS_PER_THREAD: usize = 64;
+/// Seeds handled per block in the copy/sort kernels.
+const SEEDS_PER_BLOCK: usize = BLOCK_DIM * SEEDS_PER_THREAD;
 
 /// Build the index of `region` on the device. Returns the index
 /// (copied back to the host, as the pipeline's host-side bookkeeping
@@ -47,14 +56,8 @@ pub fn build_gpu(
     let num_seeds = codec.num_seeds();
 
     // Sampled locations: region.start, region.start + Δs, … clipped so a
-    // full seed fits in the sequence.
-    let seed_fit_end = seq.len().saturating_sub(seed_len).wrapping_add(1);
-    let sample_end = region.end().min(seed_fit_end.max(region.start));
-    let n_positions = if sample_end > region.start {
-        (sample_end - region.start).div_ceil(step)
-    } else {
-        0
-    };
+    // full seed fits in the sequence (the CPU builders' rule).
+    let n_positions = SeedIndex::num_positions(region, step, seed_len, seq.len());
     let position_of = |gid: usize| region.start + gid * step;
 
     // Pool-backed: every tile row re-allocates the same geometry, so
@@ -84,12 +87,19 @@ pub fn build_gpu(
 
     // Step 3: fill locs through an atomic cursor copy.
     let temp = device.alloc_u32(num_seeds, "index.temp");
-    let copy_grid = num_seeds.div_ceil(BLOCK_DIM * SEEDS_PER_THREAD);
-    stats += device.launch_fn_named(
+    let copy_grid = num_seeds.div_ceil(SEEDS_PER_BLOCK);
+    let block_seeds = |block_id: usize| {
+        let base = block_id * SEEDS_PER_BLOCK;
+        base..(base + SEEDS_PER_BLOCK).min(num_seeds)
+    };
+    // Data-oblivious: a block's charges depend only on its seed count,
+    // so all blocks but one per count are replayed as a range copy.
+    stats += device.launch_classed(
         LaunchConfig::new(copy_grid, BLOCK_DIM),
         "index.copy_cursor",
-        |ctx| {
-            let base = ctx.block_id * BLOCK_DIM * SEEDS_PER_THREAD;
+        |block_id| block_seeds(block_id).len() as u64,
+        &|ctx: &mut BlockCtx<'_>| {
+            let base = ctx.block_id * SEEDS_PER_BLOCK;
             ctx.simt(|lane| {
                 let lo = base + lane.tid * SEEDS_PER_THREAD;
                 let hi = (lo + SEEDS_PER_THREAD).min(num_seeds);
@@ -99,6 +109,7 @@ pub fn build_gpu(
                 }
             });
         },
+        |block_id| temp.copy_from(&ptrs, block_seeds(block_id)),
     );
 
     // `locs` models a raw `cudaMalloc` allocation: the fill below is
@@ -122,12 +133,25 @@ pub fn build_gpu(
     });
 
     // Step 4: one thread per seed sorts its bucket.
-    let sort_grid = num_seeds.div_ceil(BLOCK_DIM * SEEDS_PER_THREAD);
-    stats += device.launch_fn_named(
+    let sort_grid = num_seeds.div_ceil(SEEDS_PER_BLOCK);
+    // A block whose buckets all hold at most one location sorts nothing
+    // and charges only per-seed loads and untaken branches, so such
+    // blocks are classed by seed count and replayed as no-ops; any
+    // other block is a class of its own and always interpreted.
+    let sort_class = |block_id: usize| {
+        let seeds = block_seeds(block_id);
+        if buckets_hold_at_most_one(&ptrs, seeds.start, seeds.end) {
+            seeds.len() as u64
+        } else {
+            u64::MAX - block_id as u64
+        }
+    };
+    stats += device.launch_classed(
         LaunchConfig::new(sort_grid, BLOCK_DIM),
         "index.sort_buckets",
-        |ctx| {
-            let base = ctx.block_id * BLOCK_DIM * SEEDS_PER_THREAD;
+        sort_class,
+        &|ctx: &mut BlockCtx<'_>| {
+            let base = ctx.block_id * SEEDS_PER_BLOCK;
             ctx.simt(|lane| {
                 let lo_seed = base + lane.tid * SEEDS_PER_THREAD;
                 let hi_seed = (lo_seed + SEEDS_PER_THREAD).min(num_seeds);
@@ -140,6 +164,7 @@ pub fn build_gpu(
                 }
             });
         },
+        |_| {},
     );
 
     let index = SeedIndex {
@@ -150,6 +175,23 @@ pub fn build_gpu(
         locs: locs.to_vec(),
     };
     (index, stats)
+}
+
+/// Whether every bucket of seeds `lo..hi` holds at most one location,
+/// by bisection on the prefix-summed `ptrs`: a range holding at most one
+/// location passes, one holding more locations than seeds fails
+/// (pigeonhole), anything else is split. A sparse block costs
+/// O(locations · log seeds) host loads instead of one per seed.
+fn buckets_hold_at_most_one(ptrs: &GpuU32, lo: usize, hi: usize) -> bool {
+    let entries = (ptrs.load(hi) - ptrs.load(lo)) as usize;
+    if entries > hi - lo {
+        return false;
+    }
+    if entries <= 1 {
+        return true;
+    }
+    let mid = lo + (hi - lo) / 2;
+    buckets_hold_at_most_one(ptrs, lo, mid) && buckets_hold_at_most_one(ptrs, mid, hi)
 }
 
 #[cfg(test)]
@@ -228,6 +270,27 @@ mod tests {
     }
 
     #[test]
+    fn sequence_shorter_than_a_seed_builds_empty_index() {
+        let seq: PackedSeq = "AC".parse().unwrap();
+        let device = device();
+        let (gpu, stats) = build_gpu(&device, &seq, Region::whole(&seq), 5, 1);
+        assert_eq!(gpu, build_sequential(&seq, Region::whole(&seq), 5, 1));
+        assert_eq!(gpu.num_locations(), 0);
+        assert_eq!(stats.atomic_ops, 0);
+    }
+
+    #[test]
+    fn bucket_bisection_finds_any_multi_location_bucket() {
+        // Bucket sizes 0, 1, 1, 0, 2, 0, 1, 0 as prefix sums.
+        let ptrs = GpuU32::from_slice(&[0, 0, 1, 2, 2, 4, 4, 5, 5]);
+        assert!(buckets_hold_at_most_one(&ptrs, 0, 4));
+        assert!(buckets_hold_at_most_one(&ptrs, 5, 8));
+        assert!(!buckets_hold_at_most_one(&ptrs, 0, 8));
+        assert!(!buckets_hold_at_most_one(&ptrs, 4, 5));
+        assert!(!buckets_hold_at_most_one(&ptrs, 3, 7));
+    }
+
+    #[test]
     fn atomic_count_matches_two_per_location() {
         // Steps 1 and 3 each perform one atomicAdd per sampled location.
         let seq = GenomeModel::uniform().generate(1_000, 13);
@@ -252,8 +315,11 @@ mod proptests {
             codes in proptest::collection::vec(0u8..4, 0..400),
             seed_len in 1usize..6,
             step in 1usize..20,
+            shorter_than_seed in any::<bool>(),
         ) {
-            let seq = gpumem_seq::PackedSeq::from_codes(&codes);
+            // Half the cases cut the sequence below one seed length.
+            let len = if shorter_than_seed { codes.len().min(seed_len - 1) } else { codes.len() };
+            let seq = gpumem_seq::PackedSeq::from_codes(&codes[..len]);
             let device = Device::new(DeviceSpec::test_tiny());
             let (gpu, _) = build_gpu(&device, &seq, Region::whole(&seq), seed_len, step);
             let cpu = build_sequential(&seq, Region::whole(&seq), seed_len, step);

@@ -103,13 +103,27 @@ impl SeedIndex {
         seed_len: usize,
         seq_len: usize,
     ) -> Vec<u32> {
-        let mut out = Vec::new();
-        let mut pos = region.start;
-        while pos < region.end() && pos + seed_len <= seq_len {
-            out.push(pos as u32);
-            pos += step;
-        }
-        out
+        (0..Self::num_positions(region, step, seed_len, seq_len))
+            .map(|k| (region.start + k * step) as u32)
+            .collect()
+    }
+
+    /// How many positions [`SeedIndex::expected_positions`] samples:
+    /// the starts `region.start + k·step` that lie inside the region and
+    /// leave room for a whole seed in the sequence (none when the
+    /// sequence is shorter than a seed).
+    pub(crate) fn num_positions(
+        region: Region,
+        step: usize,
+        seed_len: usize,
+        seq_len: usize,
+    ) -> usize {
+        let fit_end = (seq_len + 1).saturating_sub(seed_len);
+        region
+            .end()
+            .min(fit_end)
+            .saturating_sub(region.start)
+            .div_ceil(step)
     }
 
     /// Exhaustively check the structural invariants against the source

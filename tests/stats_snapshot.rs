@@ -31,8 +31,12 @@ fn smoke_pair() -> (PackedSeq, PackedSeq) {
 }
 
 fn gpumem(kind: IndexKind) -> Gpumem {
+    gpumem_with_seed_len(kind, 6)
+}
+
+fn gpumem_with_seed_len(kind: IndexKind, seed_len: usize) -> Gpumem {
     let config = GpumemConfig::builder(25)
-        .seed_len(6)
+        .seed_len(seed_len)
         .threads_per_block(64)
         .blocks_per_tile(2)
         .index_kind(kind)
@@ -75,8 +79,14 @@ fn render_stats(tag: &str, s: &LaunchStats) -> String {
 }
 
 fn snapshot(kind: IndexKind) -> String {
+    snapshot_with_seed_len(kind, 6)
+}
+
+fn snapshot_with_seed_len(kind: IndexKind, seed_len: usize) -> String {
     let (reference, query) = smoke_pair();
-    let result = gpumem(kind).run(&reference, &query).unwrap();
+    let result = gpumem_with_seed_len(kind, seed_len)
+        .run(&reference, &query)
+        .unwrap();
     let s = &result.stats;
     let c = &s.counts;
     format!(
@@ -106,6 +116,25 @@ tiles: 2x2
 counts: in_block=153 out_block=5 in_tile=1 out_tile=3 from_global=1 total=155
 mems: n=155 fnv=0x7f5fd4641554ede1";
     let actual = snapshot(IndexKind::DenseTable);
+    assert_eq!(
+        actual, expect,
+        "\nmodeled execution drifted.\nactual:\n{actual}\n"
+    );
+}
+
+/// At ℓs = 9 the dense build's scan spans 65 chunks and its copy/sort
+/// kernels 16 blocks, so block-class replay engages (at ℓs = 6 every
+/// replayed launch has a single block). These values were harvested
+/// from a build that interpreted every block.
+#[test]
+fn dense_pipeline_with_replayed_index_kernels_is_pinned() {
+    let expect = "\
+index: launches=14 blocks=330 warps=13200 warp_cycles=2470011 lane_cycles=77815920 device_cycles=618867 modeled_ns=688867 divergence=934 atomics=470 global=4753145 compares=12
+matching: launches=7 blocks=11 warps=2184 warp_cycles=46506 lane_cycles=848475 device_cycles=15651 modeled_ns=50651 divergence=690 atomics=0 global=34439 compares=22378
+tiles: 2x2
+counts: in_block=152 out_block=5 in_tile=2 out_tile=3 from_global=1 total=155
+mems: n=155 fnv=0x7f5fd4641554ede1";
+    let actual = snapshot_with_seed_len(IndexKind::DenseTable, 9);
     assert_eq!(
         actual, expect,
         "\nmodeled execution drifted.\nactual:\n{actual}\n"
