@@ -11,10 +11,11 @@
 //!   caches every row's partial index behind an [`Arc`] — built lazily
 //!   on first touch (or eagerly via [`RefSession::warm`]) and shared by
 //!   all subsequent queries;
-//! * [`Engine`] binds a session to a pool of query workers, each with
-//!   its own simulated [`Device`] and [`RunScratch`], so
-//!   [`Engine::run_batch`] can execute independent queries in parallel
-//!   without contending on scratch or misattributing pool statistics;
+//! * [`Engine`] binds a session to a set of query workers, each with
+//!   its own simulated [`Device`] and [`RunScratch`]:
+//!   [`Engine::run_batch`] runs its records one after another, record
+//!   `i` on worker `i % threads`, so each worker's pool statistics and
+//!   utilization describe exactly the queries charged to it;
 //! * [`MemSink`] streams MEMs out of [`Engine::run_with_sink`] stage by
 //!   stage instead of accumulating the whole result vector.
 //!
@@ -31,7 +32,6 @@
 //! re-expansion), so a sink that needs the canonical set must dedup
 //! (as [`MemCollector::into_canonical`] does).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -41,12 +41,11 @@ use parking_lot::Mutex;
 use gpu_sim::{Device, DeviceSpec, LaunchStats};
 use gpumem_index::{Region, SharedSeedLookup};
 use gpumem_seq::{canonicalize, Mem, PackedSeq, SeqSet};
-use rayon::prelude::*;
 
 use crate::config::{GpumemConfig, SchedulePolicy};
 use crate::pipeline::{
-    build_row_index, ensure_fits, ensure_sort_key, finish_global, run_tile_rows, run_tiles,
-    GpumemResult, GpumemStats, IndexBuildReport, RunError, RunScratch,
+    build_row_index, ensure_fits, ensure_sort_key, finish_global, run_tile_rows, GpumemResult,
+    GpumemStats, IndexBuildReport, RunError, RunScratch,
 };
 use crate::registry::{RefHandle, Registry, RegistryStats};
 use crate::shard::ShardPlan;
@@ -594,13 +593,6 @@ pub struct RunOutput {
     pub trace: Option<Trace>,
 }
 
-/// The engine's registration in a [`Registry`]: the base session is
-/// pinned for the engine's lifetime (released on drop).
-struct RegistryBinding {
-    registry: Arc<Registry>,
-    handle: RefHandle,
-}
-
 /// Builds an [`Engine`] — its only construction surface.
 ///
 /// ```no_run
@@ -622,7 +614,6 @@ pub struct EngineBuilder {
     threads: usize,
     registry: Option<Arc<Registry>>,
     name: Option<String>,
-    session: Option<Arc<RefSession>>,
     clock: Option<Arc<dyn TelemetryClock>>,
     events: Option<Arc<dyn EventSink>>,
     warp_floor: Option<f64>,
@@ -654,7 +645,9 @@ impl EngineBuilder {
     /// registered (deduplicated against existing entries) and pinned
     /// for the engine's lifetime, per-request seed-mode override
     /// sessions share the registry's byte budget, and
-    /// [`Engine::metrics`] carries the registry counters.
+    /// [`Engine::metrics`] carries the registry counters. Without one,
+    /// the engine registers its sessions in a private, unbudgeted
+    /// registry that [`Engine::metrics`] does not report.
     pub fn registry(mut self, registry: Arc<Registry>) -> Self {
         self.registry = Some(registry);
         self
@@ -664,15 +657,6 @@ impl EngineBuilder {
     /// only meaningful with [`EngineBuilder::registry`]).
     pub fn name(mut self, name: &str) -> Self {
         self.name = Some(name.to_string());
-        self
-    }
-
-    /// Bind an existing (possibly shared, possibly warmed) session
-    /// instead of creating one; overrides `config` and the reference
-    /// passed to [`Engine::builder`]. Incompatible with
-    /// [`EngineBuilder::registry`].
-    pub fn session(mut self, session: Arc<RefSession>) -> Self {
-        self.session = Some(session);
         self
     }
 
@@ -711,46 +695,45 @@ impl EngineBuilder {
             events: self.events,
             warp_floor: self.warp_floor,
         };
-        let (session, spec, binding) = match (self.session, self.registry) {
-            (Some(_), Some(_)) => {
-                return Err(RunError::InvalidOptions(
-                    "EngineBuilder::session is incompatible with EngineBuilder::registry; \
-                     register the (reference, config) pair instead"
-                        .to_string(),
-                ))
-            }
-            (Some(session), None) => (session, self.spec, None),
-            (None, registry) => {
-                let config = match self.config {
-                    Some(config) => config,
-                    None => GpumemConfig::builder(20)
-                        .build()
-                        .expect("default configuration is valid"),
-                };
-                match registry {
-                    Some(registry) => {
-                        let name = self.name.as_deref().unwrap_or("default");
-                        let handle = registry.add(name, self.reference, config)?;
-                        let session = registry
-                            .pin_raw(handle)
-                            .expect("freshly added handle resolves");
-                        let spec = registry.spec().clone();
-                        (session, spec, Some(RegistryBinding { registry, handle }))
-                    }
-                    None => {
-                        let session = RefSession::new(self.reference, config, &self.spec)?;
-                        (Arc::new(session), self.spec, None)
-                    }
-                }
-            }
+        let config = match self.config {
+            Some(config) => config,
+            None => GpumemConfig::builder(20)
+                .build()
+                .expect("default configuration is valid"),
         };
-        Ok(Engine::assemble(
+        let (registry, hosted) = match self.registry {
+            Some(registry) => (registry, true),
+            None => (Arc::new(Registry::new(self.spec)), false),
+        };
+        let name = self.name.as_deref().unwrap_or("default");
+        let handle = registry.add(name, self.reference, config)?;
+        let session = registry
+            .pin_raw(handle)
+            .expect("freshly added handle resolves");
+        let n_workers = self.threads.max(1);
+        let workers = (0..n_workers)
+            .map(|_| {
+                Mutex::new(Worker {
+                    device: Device::new(registry.spec().clone()),
+                    scratch: RunScratch::new(session.config()),
+                })
+            })
+            .collect();
+        Ok(Engine {
+            spec: registry.spec().clone(),
             session,
-            spec,
-            self.threads,
-            binding,
+            workers,
+            loads: (0..n_workers).map(|_| Mutex::default()).collect(),
+            created_at: telemetry.clock.now(),
+            latency: Mutex::new(LatencyHistogram::new()),
+            build_wait: Mutex::new(Duration::ZERO),
+            matching_totals: Mutex::new(LaunchStats::default()),
+            shard_health: Mutex::new(ShardHealth::default()),
+            registry,
+            handle,
+            hosted,
             telemetry,
-        ))
+        })
     }
 }
 
@@ -762,7 +745,7 @@ struct EngineTelemetry {
     warp_floor: Option<f64>,
 }
 
-/// The serving engine: a [`RefSession`] bound to a pool of query
+/// The serving engine: a [`RefSession`] bound to a set of query
 /// workers, optionally hosted in a [`Registry`].
 pub struct Engine {
     session: Arc<RefSession>,
@@ -776,12 +759,16 @@ pub struct Engine {
     build_wait: Mutex<Duration>,
     matching_totals: Mutex<LaunchStats>,
     shard_health: Mutex<ShardHealth>,
-    registry: Option<RegistryBinding>,
+    /// The registry every session of this engine comes from: the one
+    /// passed to [`EngineBuilder::registry`], or a private, unbudgeted
+    /// one. Seed-mode override sessions are registered here too.
+    registry: Arc<Registry>,
+    /// The base session's handle, pinned for the engine's lifetime.
+    handle: RefHandle,
+    /// Whether `registry` is the caller's (reported by
+    /// [`Engine::metrics`]) rather than private.
+    hosted: bool,
     telemetry: EngineTelemetry,
-    /// Sessions materialized for per-request seed-mode overrides on
-    /// registry-less engines (registry-hosted engines route overrides
-    /// through the registry so they share its byte budget).
-    overrides: Mutex<HashMap<GpumemConfig, Arc<RefSession>>>,
 }
 
 /// The resolved (session, config) pair one [`Engine::execute`] call
@@ -801,13 +788,15 @@ enum Output<'s> {
     Stream(&'s mut dyn MemSink),
 }
 
-/// Everything one shard brings home.
-struct ShardRun {
-    stats: GpumemStats,
-    mems: Vec<Mem>,
-    fragments: Vec<Mem>,
-    build_wait: Duration,
-    trace: Option<Trace>,
+/// A sink that keeps every batch for replay: a shard's MEMs leave its
+/// thread this way and reach the query's sink in shard order.
+#[derive(Default)]
+struct Batches(Vec<(MemStage, Vec<Mem>)>);
+
+impl MemSink for Batches {
+    fn mems(&mut self, stage: MemStage, mems: &[Mem]) {
+        self.0.push((stage, mems.to_vec()));
+    }
 }
 
 impl Engine {
@@ -820,42 +809,9 @@ impl Engine {
             threads: 1,
             registry: None,
             name: None,
-            session: None,
             clock: None,
             events: None,
             warp_floor: None,
-        }
-    }
-
-    fn assemble(
-        session: Arc<RefSession>,
-        spec: DeviceSpec,
-        query_threads: usize,
-        registry: Option<RegistryBinding>,
-        telemetry: EngineTelemetry,
-    ) -> Engine {
-        let n_workers = query_threads.max(1);
-        let workers = (0..n_workers)
-            .map(|_| {
-                Mutex::new(Worker {
-                    device: Device::new(spec.clone()),
-                    scratch: RunScratch::new(session.config()),
-                })
-            })
-            .collect();
-        Engine {
-            session,
-            spec,
-            workers,
-            loads: (0..n_workers).map(|_| Mutex::default()).collect(),
-            created_at: telemetry.clock.now(),
-            latency: Mutex::new(LatencyHistogram::new()),
-            build_wait: Mutex::new(Duration::ZERO),
-            matching_totals: Mutex::new(LaunchStats::default()),
-            shard_health: Mutex::new(ShardHealth::default()),
-            registry,
-            telemetry,
-            overrides: Mutex::new(HashMap::new()),
         }
     }
 
@@ -892,19 +848,15 @@ impl Engine {
         &self.session
     }
 
-    /// The registry the engine is hosted in, if any.
+    /// The registry the engine is hosted in, if any (never the private
+    /// registry of an unhosted engine).
     pub fn registry(&self) -> Option<&Arc<Registry>> {
-        self.registry.as_ref().map(|b| &b.registry)
+        self.hosted.then_some(&self.registry)
     }
 
     /// The device spec each worker simulates.
     pub fn spec(&self) -> &DeviceSpec {
         &self.spec
-    }
-
-    /// Number of query workers.
-    pub fn query_threads(&self) -> usize {
-        self.workers.len()
     }
 
     /// Build every row index now, so the first query pays no index
@@ -914,33 +866,119 @@ impl Engine {
         self.session.warm(&worker.device)
     }
 
-    /// The one per-query body behind collected, traced and streaming
-    /// runs: `query` on worker `w` under `run`'s session and config,
-    /// with `trace` installed as the device's launch observer when
-    /// given. Emits `run_start` and an `index_build` event per row it
-    /// builds; [`Engine::finish_query`] does the rest. Canonicalisation
-    /// of a collected run counts toward `match_wall` and the latency.
+    /// The one body of every query: `query` on worker `w` under `run`'s
+    /// session and config. Without a shard plan (see
+    /// [`Engine::shard_plan`]) the tile rows run on the worker's device;
+    /// with one, each shard runs its rows on a fresh device and thread.
+    /// Either way the out-tile fragments are host-merged once, a
+    /// collected run is canonicalised (counting toward `match_wall` and
+    /// the latency), and [`Engine::finish_query`] does the accounting.
+    /// A traced run records the `query` span and the global merge on a
+    /// recorder installed as the worker device's launch observer; shard
+    /// traces follow it on one track each.
     fn run_query(
         &self,
         w: usize,
         query: &PackedSeq,
         run: &ResolvedRun,
+        opts: &RunOptions,
         output: Output<'_>,
-        trace: Option<&Arc<TraceRecorder>>,
-    ) -> Result<GpumemResult, RunError> {
+    ) -> Result<RunOutput, RunError> {
         ensure_sort_key(query)?;
         let t0 = Instant::now();
-        self.emit(|ts| Event::new("run_start", ts).with_u64("query_len", query.len() as u64));
+        let plan = self.shard_plan(query, run, opts)?;
+        self.emit(|ts| {
+            let event = Event::new("run_start", ts).with_u64("query_len", query.len() as u64);
+            match &plan {
+                Some(plan) => event.with_u64("shards", plan.n_shards() as u64),
+                None => event,
+            }
+        });
+        let recorder = opts
+            .trace
+            .then(|| Arc::new(TraceRecorder::new(self.spec.warp_size)));
+        let trace = recorder.as_deref();
+        let mut collector = MemCollector::default();
+        let (sink, collecting): (&mut dyn MemSink, bool) = match output {
+            Output::Collect => (&mut collector, true),
+            Output::Stream(sink) => (sink, false),
+        };
         let mut guard = self.workers[w].lock();
         let worker = &mut *guard;
-        if let Some(recorder) = trace {
+        if let Some(recorder) = &recorder {
             worker
                 .device
                 .set_observer(Some(crate::trace::as_observer(recorder)));
         }
         let query_span = trace.map(|r| r.begin("query", SpanCat::Run));
-        // Time every row-index acquisition: building a cold row, or
-        // waiting on another query's in-flight build of the same row.
+        let (mut stats, fragments, shard_traces) = match &plan {
+            None => {
+                let stats = self.run_rows(
+                    &worker.device,
+                    &mut worker.scratch,
+                    run,
+                    query,
+                    None,
+                    sink,
+                    trace,
+                );
+                (
+                    stats,
+                    std::mem::take(&mut worker.scratch.out_tile),
+                    Vec::new(),
+                )
+            }
+            Some(plan) => self.run_shards(plan, run, query, opts.trace, sink),
+        };
+        finish_global(
+            run.session.reference(),
+            query,
+            fragments,
+            run.config.min_len,
+            sink,
+            trace,
+            &mut stats,
+        );
+        let mut mems = Vec::new();
+        if collecting {
+            let t = Instant::now();
+            mems = collector.into_canonical();
+            stats.match_wall += t.elapsed();
+            stats.counts.total = mems.len();
+        }
+        if let (Some(recorder), Some(id)) = (trace, query_span) {
+            recorder.end(id);
+            worker.device.set_observer(None);
+        }
+        drop(guard);
+        if plan.is_some() {
+            self.shard_health.lock().record(&stats.shard_matching);
+        }
+        self.finish_query(w, query, t0.elapsed(), &stats);
+        let trace = recorder
+            .map(|r| Trace::merge(std::iter::once(r.snapshot()).chain(shard_traces).collect()));
+        Ok(RunOutput {
+            result: GpumemResult { mems, stats },
+            trace,
+        })
+    }
+
+    /// Run `rows` of `query` (`None` = every row) on `device`, leaving
+    /// the out-tile fragments in `scratch.out_tile` — the engine's one
+    /// row provider. Every row-index acquisition counts toward
+    /// build-wait (building a cold row, or waiting on another query's
+    /// in-flight build of the same row), and every row this call builds
+    /// is journaled as an `index_build` event.
+    fn run_rows(
+        &self,
+        device: &Device,
+        scratch: &mut RunScratch,
+        run: &ResolvedRun,
+        query: &PackedSeq,
+        rows: Option<&[usize]>,
+        sink: &mut dyn MemSink,
+        trace: Option<&TraceRecorder>,
+    ) -> GpumemStats {
         let mut build_wait = Duration::ZERO;
         let mut provider = |device: &Device, row: usize, _region: Region| {
             let t = Instant::now();
@@ -958,45 +996,149 @@ impl Engine {
             }
             out
         };
-        let mut collector = MemCollector::default();
-        let (sink, collecting): (&mut dyn MemSink, bool) = match output {
-            Output::Collect => (&mut collector, true),
-            Output::Stream(sink) => (sink, false),
-        };
-        let mut stats = run_tiles(
-            &worker.device,
+        let stats = run_tile_rows(
+            device,
             &run.config,
             run.session.reference(),
             query,
             &mut provider,
-            &mut worker.scratch,
+            scratch,
             sink,
-            trace.map(|r| &**r),
+            trace,
+            rows,
         );
-        let mut mems = Vec::new();
-        if collecting {
-            let t = Instant::now();
-            mems = collector.into_canonical();
-            stats.match_wall += t.elapsed();
-            stats.counts.total = mems.len();
-        }
-        if let (Some(recorder), Some(id)) = (trace, query_span) {
-            recorder.end(id);
-            worker.device.set_observer(None);
-        }
-        drop(guard);
         *self.build_wait.lock() += build_wait;
-        self.finish_query(w, query, t0.elapsed(), &stats);
-        Ok(GpumemResult { mems, stats })
+        stats
+    }
+
+    /// Scatter `plan`'s shards over fresh devices, one thread each, and
+    /// gather them in shard order: MEM batches replayed into `sink`,
+    /// stats summed (each shard's matching also kept in
+    /// `shard_matching`), out-tile fragments concatenated, traces
+    /// returned. See [`crate::shard`] for why the merged output is
+    /// byte-identical to a single-device run.
+    fn run_shards(
+        &self,
+        plan: &ShardPlan,
+        run: &ResolvedRun,
+        query: &PackedSeq,
+        traced: bool,
+        sink: &mut dyn MemSink,
+    ) -> (GpumemStats, Vec<Mem>, Vec<Trace>) {
+        let shard_runs: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..plan.n_shards())
+                .map(|s| {
+                    let rows = plan.rows(s);
+                    self.emit(|ts| {
+                        Event::new("shard_dispatch", ts)
+                            .with_u64("shard", s as u64)
+                            .with_u64("rows", rows.len() as u64)
+                    });
+                    scope.spawn(move || {
+                        let device = Device::new(self.spec.clone());
+                        let recorder =
+                            traced.then(|| Arc::new(TraceRecorder::new(self.spec.warp_size)));
+                        if let Some(recorder) = &recorder {
+                            device.set_observer(Some(crate::trace::as_observer(recorder)));
+                        }
+                        let span = recorder
+                            .as_ref()
+                            .map(|r| r.begin(format!("shard {s}"), SpanCat::Run));
+                        let mut scratch = RunScratch::new(run.session.config());
+                        let mut batches = Batches::default();
+                        let stats = self.run_rows(
+                            &device,
+                            &mut scratch,
+                            run,
+                            query,
+                            Some(rows),
+                            &mut batches,
+                            recorder.as_deref(),
+                        );
+                        if let (Some(recorder), Some(id)) = (&recorder, span) {
+                            recorder.end(id);
+                        }
+                        let trace = recorder.map(|r| r.snapshot());
+                        (stats, batches, scratch.out_tile, trace)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shard thread panicked"))
+                .collect()
+        });
+        let mut stats = GpumemStats::default();
+        let mut fragments = Vec::new();
+        let mut traces = Vec::new();
+        for (shard, batches, out_tile, trace) in shard_runs {
+            for (stage, mems) in batches.0 {
+                sink.mems(stage, &mems);
+            }
+            stats.rows = shard.rows;
+            stats.cols = shard.cols;
+            stats.index += shard.index;
+            stats.matching += shard.matching.clone();
+            stats.index_wall += shard.index_wall;
+            stats.match_wall += shard.match_wall;
+            stats.counts.in_block += shard.counts.in_block;
+            stats.counts.out_block += shard.counts.out_block;
+            stats.counts.in_tile += shard.counts.in_tile;
+            stats.shard_matching.push(shard.matching);
+            fragments.extend(out_tile);
+            traces.extend(trace);
+        }
+        (stats, fragments, traces)
+    }
+
+    /// The request's shard plan: `None` for a single-device run (fewer
+    /// than two shards asked for); else the explicit plan, refused
+    /// unless it covers the run's tile rows exactly once, or an LPT
+    /// split of the rows by the reference bases each covers.
+    fn shard_plan(
+        &self,
+        query: &PackedSeq,
+        run: &ResolvedRun,
+        opts: &RunOptions,
+    ) -> Result<Option<ShardPlan>, RunError> {
+        let n_shards = opts
+            .shard_plan
+            .as_ref()
+            .map_or(opts.shards, ShardPlan::n_shards);
+        if n_shards < 2 {
+            return Ok(None);
+        }
+        let reference = run.session.reference();
+        let config = &run.config;
+        // Row mass ∝ reference bases covered (the last row may be
+        // short); occurrence-accurate masses would need the indexes
+        // built up front, defeating lazy residency.
+        let masses: Vec<u64> = if reference.len() >= config.seed_len && !query.is_empty() {
+            let tiling = Tiling::new(config.tile_len(), reference.len(), query.len());
+            (0..tiling.n_rows())
+                .map(|row| tiling.row_range(row).len() as u64)
+                .collect()
+        } else {
+            Vec::new()
+        };
+        match &opts.shard_plan {
+            Some(plan) if !plan.covers(masses.len()) => Err(RunError::InvalidOptions(format!(
+                "shard plan assigns {} rows but the run has {} tile rows",
+                plan.n_rows(),
+                masses.len()
+            ))),
+            Some(plan) => Ok(Some(plan.clone())),
+            None => Ok(Some(ShardPlan::from_row_masses(n_shards, &masses))),
+        }
     }
 
     /// The accounting tail of every query, single-device or sharded:
     /// charge `latency` to worker `w` and the latency histogram, fold
-    /// the matching stats into the device counters, refresh the hosting
-    /// registry's LRU clock (which also enforces the byte budget,
-    /// charging any rows the query lazily built), and emit `run_end`
-    /// plus any anomaly events. `run_end` carries the run's stage
-    /// totals (`index + matching`) — by construction the exact sum
+    /// the matching stats into the device counters, refresh the
+    /// registry's LRU clock (which also enforces a hosting registry's
+    /// byte budget, charging any rows the query lazily built), and emit
+    /// `run_end` plus any anomaly events. `run_end` carries the run's
+    /// stage totals (`index + matching`) — by construction the exact sum
     /// [`Trace::stage_totals`] reports for a traced run, which is what
     /// lets the journal reconcile against the trace field for field.
     fn finish_query(&self, w: usize, query: &PackedSeq, latency: Duration, stats: &GpumemStats) {
@@ -1007,9 +1149,7 @@ impl Engine {
         }
         self.latency.lock().record(latency);
         *self.matching_totals.lock() += stats.matching.clone();
-        if let Some(binding) = &self.registry {
-            binding.registry.touch(binding.handle);
-        }
+        self.registry.touch(self.handle);
         self.emit(|ts| {
             let totals = stats.index.clone() + stats.matching.clone();
             Event::new("run_end", ts)
@@ -1026,8 +1166,9 @@ impl Engine {
     /// Resolve a request's options into the (session, config) pair to
     /// run under. Schedule knobs are free overrides on the base
     /// session; a seed-mode override needs its own index layout, so it
-    /// resolves to a separate session — through the registry (budgeted,
-    /// pinned for the call) when hosted, else a per-engine cache.
+    /// resolves to a separate session registered in the engine's
+    /// registry (sharing a hosting registry's byte budget) and pinned
+    /// for the call.
     fn resolve_options(&self, opts: &RunOptions) -> Result<ResolvedRun, RunError> {
         let base = self.session.config();
         let mut config = base.clone();
@@ -1047,19 +1188,26 @@ impl Engine {
                     .index_kind(base.index_kind)
                     .build()
                     .map_err(|e| RunError::InvalidOptions(e.to_string()))?;
-                // The session is keyed on the index-relevant shape:
-                // schedule knobs are launch-order details and must not
-                // multiply sessions.
-                let session_config = derived.clone();
                 config.min_len = derived.min_len;
                 config.seed_len = derived.seed_len;
                 config.step = derived.step;
                 config.seed_mode = derived.seed_mode;
-                let (session, pin) = self.override_session(session_config)?;
+                // The session is keyed on the index-relevant shape:
+                // schedule knobs are launch-order details and must not
+                // multiply sessions.
+                let handle = self.registry.add(
+                    "seed-mode-override",
+                    Arc::clone(self.session.reference_arc()),
+                    derived,
+                )?;
+                let pin = self
+                    .registry
+                    .pin(handle)
+                    .expect("freshly added handle resolves");
                 Ok(ResolvedRun {
-                    session,
+                    session: Arc::clone(pin.session()),
                     config,
-                    _pin: pin,
+                    _pin: Some(pin),
                 })
             }
             _ => Ok(ResolvedRun {
@@ -1070,292 +1218,32 @@ impl Engine {
         }
     }
 
-    /// The cached session for an overridden index layout.
-    fn override_session(
-        &self,
-        session_config: GpumemConfig,
-    ) -> Result<(Arc<RefSession>, Option<crate::registry::PinnedSession>), RunError> {
-        if let Some(binding) = &self.registry {
-            let handle = binding.registry.add(
-                "seed-mode-override",
-                Arc::clone(self.session.reference_arc()),
-                session_config,
-            )?;
-            let pin = binding
-                .registry
-                .pin(handle)
-                .expect("freshly added handle resolves");
-            let session = Arc::clone(pin.session());
-            return Ok((session, Some(pin)));
-        }
-        let mut overrides = self.overrides.lock();
-        if let Some(session) = overrides.get(&session_config) {
-            return Ok((Arc::clone(session), None));
-        }
-        let session = Arc::new(RefSession::new(
-            Arc::clone(self.session.reference_arc()),
-            session_config.clone(),
-            &self.spec,
-        )?);
-        overrides.insert(session_config, Arc::clone(&session));
-        Ok((session, None))
-    }
-
-    /// How many shards a request resolves to.
-    fn effective_shards(&self, opts: &RunOptions) -> usize {
-        opts.shard_plan
-            .as_ref()
-            .map(|p| p.n_shards())
-            .unwrap_or(opts.shards)
-            .max(1)
-    }
-
     /// The unified run surface: execute every query of `request` under
     /// its options, returning one [`RunOutput`] per query in order.
     /// [`Engine::run`], [`Engine::run_traced`], and
     /// [`Engine::run_batch`] are thin adapters over this.
     ///
-    /// Untraced single-device batches fan out across the engine's
-    /// workers; traced or sharded requests run queries sequentially
-    /// (tracing owns worker 0's observer; a sharded query is already
-    /// parallel across its shard devices).
+    /// Queries run one after another, query `i` on worker
+    /// `i % threads`; a sharded query runs its shards concurrently.
     pub fn execute(&self, request: &RunRequest<'_>) -> Vec<Result<RunOutput, RunError>> {
         let opts = &request.options;
+        let resolved = self.resolve_options(opts);
         let n = match request.queries {
             Queries::One(_) => 1,
             Queries::Set(set) => set.records.len(),
         };
-        let resolved = match self.resolve_options(opts) {
-            Ok(resolved) => resolved,
-            Err(e) => return (0..n).map(|_| Err(e.clone())).collect(),
-        };
-        match request.queries {
-            Queries::One(query) => vec![self.execute_one(query, &resolved, opts)],
-            Queries::Set(set) if opts.trace || self.effective_shards(opts) >= 2 => (0..n)
-                .map(|i| self.execute_one(&set.record_seq(i), &resolved, opts))
-                .collect(),
-            Queries::Set(set) => {
-                let n_workers = self.workers.len();
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(n_workers)
-                    .build()
-                    .expect("thread pool");
-                pool.install(|| {
-                    (0..n)
-                        .into_par_iter()
-                        .map(|i| {
-                            let query = set.record_seq(i);
-                            Ok(RunOutput {
-                                result: self.run_query(
-                                    i % n_workers,
-                                    &query,
-                                    &resolved,
-                                    Output::Collect,
-                                    None,
-                                )?,
-                                trace: None,
-                            })
-                        })
-                        .collect()
-                })
-            }
-        }
-    }
-
-    fn execute_one(
-        &self,
-        query: &PackedSeq,
-        resolved: &ResolvedRun,
-        opts: &RunOptions,
-    ) -> Result<RunOutput, RunError> {
-        let shards = self.effective_shards(opts);
-        if shards >= 2 {
-            return self.run_sharded(query, resolved, opts, shards);
-        }
-        let recorder = opts
-            .trace
-            .then(|| Arc::new(TraceRecorder::new(self.spec.warp_size)));
-        let result = self.run_query(0, query, resolved, Output::Collect, recorder.as_ref())?;
-        Ok(RunOutput {
-            result,
-            trace: recorder.map(|r| r.snapshot()),
-        })
-    }
-
-    /// One query across N simulated devices: each shard runs its tile
-    /// rows on a fresh device with its own scratch, then the shards'
-    /// out-tile fragments are concatenated and host-merged once. See
-    /// [`crate::shard`] for why the result is byte-identical to a
-    /// single-device run.
-    fn run_sharded(
-        &self,
-        query: &PackedSeq,
-        resolved: &ResolvedRun,
-        opts: &RunOptions,
-        n_shards: usize,
-    ) -> Result<RunOutput, RunError> {
-        ensure_sort_key(query)?;
-        let session = &resolved.session;
-        let config = &resolved.config;
-        let reference = session.reference();
-        let t0 = Instant::now();
-        self.emit(|ts| {
-            Event::new("run_start", ts)
-                .with_u64("query_len", query.len() as u64)
-                .with_u64("shards", n_shards as u64)
-        });
-        let tiling = (reference.len() >= config.seed_len && !query.is_empty())
-            .then(|| Tiling::new(config.tile_len(), reference.len(), query.len()));
-        let n_rows = tiling.as_ref().map_or(0, Tiling::n_rows);
-        let plan = match &opts.shard_plan {
-            Some(plan) => {
-                if !plan.covers(n_rows) {
-                    return Err(RunError::InvalidOptions(format!(
-                        "shard plan assigns {} rows but the run has {n_rows} tile rows",
-                        plan.n_rows()
-                    )));
+        (0..n)
+            .map(|i| {
+                let run = resolved.as_ref().map_err(Clone::clone)?;
+                let w = i % self.workers.len();
+                match request.queries {
+                    Queries::One(query) => self.run_query(w, query, run, opts, Output::Collect),
+                    Queries::Set(set) => {
+                        self.run_query(w, &set.record_seq(i), run, opts, Output::Collect)
+                    }
                 }
-                plan.clone()
-            }
-            None => {
-                // Row mass ∝ reference bases covered (the last row may
-                // be short); occurrence-accurate masses would need the
-                // indexes built up front, defeating lazy residency.
-                let masses: Vec<u64> = (0..n_rows)
-                    .map(|row| {
-                        tiling
-                            .as_ref()
-                            .expect("rows imply tiling")
-                            .row_range(row)
-                            .len() as u64
-                    })
-                    .collect();
-                ShardPlan::from_row_masses(n_shards, &masses)
-            }
-        };
-
-        let shard_runs: Vec<ShardRun> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..plan.n_shards())
-                .map(|s| {
-                    let rows = plan.rows(s);
-                    self.emit(|ts| {
-                        Event::new("shard_dispatch", ts)
-                            .with_u64("shard", s as u64)
-                            .with_u64("rows", rows.len() as u64)
-                    });
-                    let session = Arc::clone(session);
-                    scope.spawn(move || {
-                        self.run_shard_body(query, &session, config, rows, opts.trace, s)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard thread panicked"))
-                .collect()
-        });
-
-        let mut stats = GpumemStats {
-            rows: n_rows,
-            cols: tiling.as_ref().map_or(0, Tiling::n_cols),
-            ..GpumemStats::default()
-        };
-        let mut collector = MemCollector::default();
-        let mut fragments: Vec<Mem> = Vec::new();
-        let mut traces: Vec<Trace> = Vec::new();
-        for run in shard_runs {
-            stats.index += run.stats.index.clone();
-            stats.matching += run.stats.matching.clone();
-            stats.index_wall += run.stats.index_wall;
-            stats.match_wall += run.stats.match_wall;
-            stats.counts.in_block += run.stats.counts.in_block;
-            stats.counts.out_block += run.stats.counts.out_block;
-            stats.counts.in_tile += run.stats.counts.in_tile;
-            stats.shard_matching.push(run.stats.matching);
-            collector.mems.extend(run.mems);
-            fragments.extend(run.fragments);
-            *self.build_wait.lock() += run.build_wait;
-            if let Some(trace) = run.trace {
-                traces.push(trace);
-            }
-        }
-
-        // The cross-shard global merge: one host merge over every
-        // shard's fragments, exactly what a single device would feed it.
-        finish_global(
-            reference,
-            query,
-            fragments,
-            config.min_len,
-            &mut collector,
-            None,
-            &mut stats,
-        );
-        let t = Instant::now();
-        let mems = collector.into_canonical();
-        stats.match_wall += t.elapsed();
-        stats.counts.total = mems.len();
-
-        self.shard_health.lock().record(&stats.shard_matching);
-        self.finish_query(0, query, t0.elapsed(), &stats);
-        let trace = (!traces.is_empty()).then(|| Trace::merge(traces));
-        Ok(RunOutput {
-            result: GpumemResult { mems, stats },
-            trace,
-        })
-    }
-
-    /// One shard's tile rows on a fresh simulated device.
-    fn run_shard_body(
-        &self,
-        query: &PackedSeq,
-        session: &Arc<RefSession>,
-        config: &GpumemConfig,
-        rows: &[usize],
-        traced: bool,
-        shard_id: usize,
-    ) -> ShardRun {
-        let device = Device::new(self.spec.clone());
-        let recorder = traced.then(|| Arc::new(TraceRecorder::new(device.spec().warp_size)));
-        if let Some(recorder) = &recorder {
-            device.set_observer(Some(crate::trace::as_observer(recorder)));
-        }
-        let shard_span = recorder
-            .as_ref()
-            .map(|r| r.begin(format!("shard {shard_id}"), SpanCat::Run));
-        let mut scratch = RunScratch::new(session.config());
-        let mut collector = MemCollector::default();
-        let mut build_wait = Duration::ZERO;
-        let mut provider = |device: &Device, row: usize, _region: Region| {
-            let t = Instant::now();
-            let out = session.row_index(device, row);
-            build_wait += t.elapsed();
-            out
-        };
-        let stats = run_tile_rows(
-            &device,
-            config,
-            session.reference(),
-            query,
-            &mut provider,
-            &mut scratch,
-            &mut collector,
-            recorder.as_deref(),
-            Some(rows),
-        );
-        if let (Some(recorder), Some(id)) = (&recorder, shard_span) {
-            recorder.end(id);
-        }
-        if recorder.is_some() {
-            device.set_observer(None);
-        }
-        ShardRun {
-            stats,
-            mems: collector.into_canonical(),
-            fragments: std::mem::take(&mut scratch.out_tile),
-            build_wait,
-            trace: recorder.map(|r| r.snapshot()),
-        }
+            })
+            .collect()
     }
 
     /// Stream one query's MEMs into `sink` as stages complete (see the
@@ -1369,9 +1257,10 @@ impl Engine {
         query: &PackedSeq,
         sink: &mut dyn MemSink,
     ) -> Result<GpumemStats, RunError> {
-        let run = self.resolve_options(&RunOptions::default())?;
-        self.run_query(0, query, &run, Output::Stream(sink), None)
-            .map(|result| result.stats)
+        let opts = RunOptions::default();
+        let run = self.resolve_options(&opts)?;
+        self.run_query(0, query, &run, &opts, Output::Stream(sink))
+            .map(|out| out.result.stats)
     }
 
     /// Run one query, collecting the canonical MEM set — the
@@ -1479,18 +1368,18 @@ impl Engine {
             device,
             index: self.session.index_report().stats,
             matching: totals,
-            registry: self
-                .registry
-                .as_ref()
-                .map(|b| b.registry.stats())
-                .unwrap_or_default(),
+            registry: if self.hosted {
+                self.registry.stats()
+            } else {
+                RegistryStats::default()
+            },
             shards: self.shard_health.lock().clone(),
         }
     }
 
-    /// Run every record of `queries` as an independent query, in
-    /// parallel across the engine's workers — the batch adapter over
-    /// [`Engine::execute`]. Results come back in record order, each
+    /// Run every record of `queries` as an independent query, one after
+    /// another, record `i` on worker `i % threads` — the batch adapter
+    /// over [`Engine::execute`]. Results come back in record order, each
     /// exactly what [`Engine::run`] would return for that record alone.
     pub fn run_batch(&self, queries: &SeqSet) -> Vec<Result<GpumemResult, RunError>> {
         self.execute(&RunRequest::batch(queries))
@@ -1504,9 +1393,7 @@ impl Drop for Engine {
     fn drop(&mut self) {
         // Release the lifetime pin taken by `EngineBuilder::build` so
         // the registry may evict or remove this engine's session.
-        if let Some(binding) = &self.registry {
-            binding.registry.unpin(binding.handle);
-        }
+        self.registry.unpin(self.handle);
     }
 }
 
@@ -1927,6 +1814,20 @@ mod tests {
             .filter(|s| s.cat == SpanCat::Run && s.name.starts_with("shard "))
             .collect();
         assert_eq!(shard_spans.len(), 2, "one span per shard");
+        // The query track carries the one cross-shard global merge, and
+        // the stage spans of all tracks still partition the launches.
+        let merges: Vec<_> = trace
+            .spans()
+            .iter()
+            .filter(|s| s.cat == SpanCat::Stage && s.name == "global_merge")
+            .collect();
+        assert_eq!(merges.len(), 1, "one global merge per query");
+        assert_eq!(merges[0].track, 0, "on the query track");
+        let stats = &out.result.stats;
+        assert_eq!(
+            trace.stage_totals(),
+            stats.index.clone() + stats.matching.clone()
+        );
     }
 
     #[test]
@@ -1976,13 +1877,15 @@ mod tests {
             dual_engine.run(&query).unwrap().mems
         );
         assert_eq!(overridden.result.mems, naive_mems(&reference, &query, 25));
-        // Repeating the override reuses the cached session.
+        // Repeating the override reuses the session registered in the
+        // engine's private registry: base + one override, no more.
+        assert_eq!(engine.registry.len(), 2);
         engine
             .execute(&RunRequest::query(&query).options(options))
             .pop()
             .unwrap()
             .unwrap();
-        assert_eq!(engine.overrides.lock().len(), 1);
+        assert_eq!(engine.registry.len(), 2);
     }
 
     #[test]
@@ -2015,8 +1918,21 @@ mod tests {
 
     #[test]
     fn plain_engine_metrics_mark_registry_detached() {
+        use gpumem_index::SeedMode;
         let reference = GenomeModel::uniform().generate(600, 844);
         let engine = engine_of(&reference, config(16), 1);
+        // A seed-mode override registers a session in the private
+        // registry, which stays out of the metrics.
+        let options = RunOptions {
+            seed_mode: Some(SeedMode::DualSampled { k1: 3, k2: 2 }),
+            ..RunOptions::default()
+        };
+        engine
+            .execute(&RunRequest::query(&reference).options(options))
+            .pop()
+            .unwrap()
+            .unwrap();
+        assert!(engine.registry().is_none());
         let m = engine.metrics();
         assert!(!m.registry.attached);
         assert_eq!(m.registry.references, 0);
@@ -2038,5 +1954,9 @@ mod tests {
         for (s, p) in sharded.iter().zip(&plain) {
             assert_eq!(s.as_ref().unwrap().result.mems, p.as_ref().unwrap().mems);
         }
+        // Sharded or not, record i is charged to worker i % 2.
+        let workers = engine.metrics().workers;
+        assert_eq!(workers[0].queries, 4);
+        assert_eq!(workers[1].queries, 2);
     }
 }

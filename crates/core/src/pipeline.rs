@@ -6,13 +6,15 @@
 //! fragments (§III-C1), and finally merge the accumulated out-tile
 //! fragments on the host (§III-C2).
 //!
-//! The tile loop itself lives in [`run_tiles`]: a streaming core that
-//! emits every stage's MEMs into a [`MemSink`](crate::engine::MemSink)
-//! as tiles complete and takes the row index from a caller-supplied
-//! provider. [`Gpumem::run`] wires it to a fresh per-row build and a
-//! collecting sink; the serving engine ([`crate::engine`]) wires the
-//! same core to a cached [`RefSession`](crate::engine::RefSession) and
-//! per-worker scratch instead.
+//! The tile loop itself lives in [`run_tile_rows`]: a streaming core
+//! that emits every stage's MEMs into a
+//! [`MemSink`](crate::engine::MemSink) as tiles complete and takes the
+//! row index from a caller-supplied provider; [`finish_global`] closes
+//! a run with the host merge. [`Gpumem::run`] wires them to a fresh
+//! per-row build and a collecting sink; the serving engine
+//! ([`crate::engine`]) wires the same pair to a cached
+//! [`RefSession`](crate::engine::RefSession) and per-worker (or
+//! per-shard) scratch instead.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -228,27 +230,6 @@ pub struct GpumemStats {
     pub shard_matching: Vec<LaunchStats>,
 }
 
-impl GpumemStats {
-    /// Max/mean per-shard modeled matching time of a sharded run — the
-    /// load-imbalance ratio (1.0 = perfectly balanced; also 1.0 for
-    /// single-device runs, where there is nothing to imbalance).
-    pub fn shard_imbalance(&self) -> f64 {
-        if self.shard_matching.is_empty() {
-            return 1.0;
-        }
-        let times: Vec<f64> = self
-            .shard_matching
-            .iter()
-            .map(LaunchStats::modeled_secs)
-            .collect();
-        let mean = times.iter().sum::<f64>() / times.len() as f64;
-        if mean <= 0.0 {
-            return 1.0;
-        }
-        times.iter().copied().fold(0.0, f64::max) / mean
-    }
-}
-
 impl std::fmt::Display for GpumemStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
@@ -290,45 +271,15 @@ pub struct GpumemResult {
 }
 
 /// The streaming tile loop shared by [`Gpumem::run`] and the serving
-/// engine. Walks the tile grid in row-major order; `row_index` supplies
-/// each row's partial index (built fresh, or served from a session
-/// cache with zero launch stats); every stage's MEMs go to `sink` the
-/// moment the stage completes. The returned `counts.total` is the
-/// emitted total (in-block + in-tile + global, cross-tile duplicates
-/// included); collecting callers overwrite it with the canonical count.
-pub(crate) fn run_tiles(
-    device: &Device,
-    config: &GpumemConfig,
-    reference: &PackedSeq,
-    query: &PackedSeq,
-    row_index: &mut dyn FnMut(&Device, usize, Region) -> (SharedSeedLookup, LaunchStats),
-    scratch: &mut RunScratch,
-    sink: &mut dyn MemSink,
-    trace: Option<&TraceRecorder>,
-) -> GpumemStats {
-    let mut stats = run_tile_rows(
-        device, config, reference, query, row_index, scratch, sink, trace, None,
-    );
-    finish_global(
-        reference,
-        query,
-        std::mem::take(&mut scratch.out_tile),
-        config.min_len,
-        sink,
-        trace,
-        &mut stats,
-    );
-    stats
-}
-
-/// The tile loop restricted to a subset of tile rows — the per-shard
-/// core of [`run_tiles`]. Runs every tile of the rows listed in `rows`
-/// (`None` = all rows), streaming in-block/in-tile MEMs into `sink` and
-/// leaving the produced out-tile fragments in `scratch.out_tile` for a
-/// later [`finish_global`]. Out-tile fragments are per-tile products —
-/// independent of which device runs the tile — so concatenating the
-/// fragments of disjoint row subsets and host-merging them once
-/// reproduces the single-device output exactly.
+/// engine. Runs every tile of the rows listed in `rows` (`None` = all
+/// rows) in schedule order; `row_index` supplies each row's partial
+/// index (built fresh, or served from a session cache with zero launch
+/// stats); in-block and in-tile MEMs go to `sink` the moment their
+/// stage completes, and the out-tile fragments are left in
+/// `scratch.out_tile` for [`finish_global`]. Out-tile fragments are
+/// per-tile products — independent of which device runs the tile — so
+/// concatenating the fragments of disjoint row subsets and
+/// host-merging them once reproduces the single-device output exactly.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_tile_rows(
     device: &Device,
@@ -549,8 +500,8 @@ pub(crate) fn run_tile_rows(
 }
 
 /// Host merge of out-tile fragments (§III-C2) — the closing half of
-/// [`run_tiles`], split out so a sharded run can concatenate every
-/// shard's fragments and merge them once. A stage span with zero device
+/// every run, after [`run_tile_rows`]; a sharded run concatenates every
+/// shard's fragments and merges them once. A stage span with zero device
 /// stats: it runs on the host, so it contributes wall time but nothing
 /// to the launch-stat reconciliation. Finalizes `stats.counts`
 /// (`out_tile`, `from_global`, and the emitted `total`).
@@ -685,7 +636,7 @@ impl Gpumem {
         let mut provider = |device: &Device, _row: usize, region: Region| {
             build_row_index(device, &self.config, reference, region)
         };
-        let mut stats = run_tiles(
+        let mut stats = run_tile_rows(
             &self.device,
             &self.config,
             reference,
@@ -694,6 +645,16 @@ impl Gpumem {
             &mut scratch,
             &mut collector,
             trace,
+            None,
+        );
+        finish_global(
+            reference,
+            query,
+            std::mem::take(&mut scratch.out_tile),
+            self.config.min_len,
+            &mut collector,
+            trace,
+            &mut stats,
         );
 
         let t = Instant::now();

@@ -58,8 +58,9 @@
 //! ```
 //!
 //! The query FASTA may hold many records; each is matched independently
-//! (GPUMEM serves them all from one cached reference session, in
-//! parallel across `--query-threads` workers). Output: one
+//! (GPUMEM serves them all from one cached reference session, one
+//! after another, round-robin over the `--query-threads` workers).
+//! Output: one
 //! `ref_pos  query_pos  length  strand` line per match, 1-based
 //! coordinates as in `mummer -maxmatch`, grouped by query record in
 //! input order; with more than one query record, each line gains the

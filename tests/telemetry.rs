@@ -436,6 +436,11 @@ fn sharded_runs_populate_shard_health_and_the_imbalance_gauge() {
         engine.session().rows(),
         "dispatch covers all rows"
     );
+    // The shards share the engine's one row provider: the cold run
+    // journaled one index_build event per row it built.
+    let built = engine.metrics().index_cache.built;
+    assert_eq!(built as usize, engine.session().rows());
+    assert_eq!(sink.of_kind("index_build").len() as u64, built);
 
     let text = telemetry::render_prometheus(&engine.metrics());
     assert!(text.contains("gpumem_shard_imbalance"));
