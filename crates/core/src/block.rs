@@ -818,7 +818,7 @@ mod tests {
     fn stealing_and_staging_preserve_block_output() {
         // A repeat-heavy pair drives real skew through the queue.
         let mut codes = GenomeModel::mammalian().generate(500, 109).to_codes();
-        codes.extend(std::iter::repeat(1u8).take(300)); // poly-C block
+        codes.extend(std::iter::repeat_n(1u8, 300)); // poly-C block
         codes.extend(GenomeModel::mammalian().generate(200, 110).to_codes());
         let reference = PackedSeq::from_codes(&codes);
         let query = PackedSeq::from_codes(&codes[200..800]);

@@ -190,7 +190,7 @@ mod tests {
         // seeds saturate the index, then unique sequence again.
         let unique = GenomeModel::mammalian().generate(600, 11).to_codes();
         let mut codes = unique.clone();
-        codes.extend(std::iter::repeat(0u8).take(600)); // poly-A block
+        codes.extend(std::iter::repeat_n(0u8, 600)); // poly-A block
         codes.extend(GenomeModel::mammalian().generate(600, 12).to_codes());
         let query = PackedSeq::from_codes(&codes);
         let reference = query.clone();

@@ -7,9 +7,6 @@
 //!                                                      run a batch, print the unified
 //!                                                      telemetry exposition
 //! gpumem-cli bench-info [--min-len L]                  device catalog + tile geometry
-//! gpumem-cli bench-info --check [--max-regress R] [--history f]
-//!                                                      flag regressions against the
-//!                                                      recorded bench trajectory
 //!
 //! `run` is the only way to extract MEMs; any other first argument is a
 //! usage error.
@@ -96,12 +93,6 @@
 //! `--journal` additionally streams the structured event journal
 //! (run-lifecycle, index-build, registry pin/evict, shard dispatch) to a
 //! JSONL file, one event object per line.
-//!
-//! `bench-info --check` reads the bench trajectory the `quick` bench
-//! appends to `results/bench_history.jsonl` and fails (exit 1) if the
-//! latest entry regresses more than `--max-regress` (default 0.20)
-//! against the best earlier entry — the local mirror of the CI
-//! bench-smoke gate.
 
 use std::fs::File;
 use std::io::BufReader;
@@ -526,7 +517,7 @@ fn run_finder(
 
 fn usage() {
     eprintln!(
-        "usage: gpumem-cli <run|registry|metrics|bench-info> ...\n       gpumem-cli run [--tool T] [--min-len L] [--seed-len ls] [--seed-mode ref|dual[:k1,k2]] [--sparseness K] [--threads t] [--query-threads n] [--shards n] [--schedule-policy inorder|mass] [--work-stealing] [--query-staging] [--both-strands] [--mum] [--rare t] [--stats] [--sanitize] [--trace out.json] [--metrics out.json] [--profile] <reference.fa> <query.fa>\n       gpumem-cli registry add <handles.tsv> <name> <reference.fa> [--min-len L] [--seed-len ls]\n       gpumem-cli registry list <handles.tsv>\n       gpumem-cli registry evict-stats <handles.tsv> [--budget bytes] [--rounds N]\n       gpumem-cli metrics export [--format prometheus|json] [--min-len L] [--seed-len ls] [--query-threads n] [--shards n] [--journal events.jsonl] <reference.fa> <query.fa>\n       gpumem-cli bench-info [--min-len L] [--check [--max-regress R] [--history results/bench_history.jsonl]]"
+        "usage: gpumem-cli <run|registry|metrics|bench-info> ...\n       gpumem-cli run [--tool T] [--min-len L] [--seed-len ls] [--seed-mode ref|dual[:k1,k2]] [--sparseness K] [--threads t] [--query-threads n] [--shards n] [--schedule-policy inorder|mass] [--work-stealing] [--query-staging] [--both-strands] [--mum] [--rare t] [--stats] [--sanitize] [--trace out.json] [--metrics out.json] [--profile] <reference.fa> <query.fa>\n       gpumem-cli registry add <handles.tsv> <name> <reference.fa> [--min-len L] [--seed-len ls]\n       gpumem-cli registry list <handles.tsv>\n       gpumem-cli registry evict-stats <handles.tsv> [--budget bytes] [--rounds N]\n       gpumem-cli metrics export [--format prometheus|json] [--min-len L] [--seed-len ls] [--query-threads n] [--shards n] [--journal events.jsonl] <reference.fa> <query.fa>\n       gpumem-cli bench-info [--min-len L]"
     );
 }
 
@@ -933,105 +924,8 @@ fn metrics_export(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The history fields where smaller is better (wall seconds).
-const HISTORY_LOWER_BETTER: [&str; 2] = ["wall_s", "match_wall_s"];
-/// The history fields where larger is better (throughput, speedup
-/// ratios).
-const HISTORY_HIGHER_BETTER: [&str; 4] = [
-    "qps_batch",
-    "seedmode_l300_modeled_ratio",
-    "skewed_modeled_ratio",
-    "sharded_modeled_ratio",
-];
-
-/// Compare the newest trajectory entry against the best earlier entry
-/// per metric; fail on any regression beyond `max_regress`.
-fn bench_check(history: &str, max_regress: f64) -> Result<(), String> {
-    let body = match std::fs::read_to_string(history) {
-        Ok(body) => body,
-        Err(_) => {
-            println!("bench-check: no history at {history}; nothing to check");
-            return Ok(());
-        }
-    };
-    let entries: Vec<serde::json::Value> = body
-        .lines()
-        .enumerate()
-        .filter(|(_, line)| !line.trim().is_empty())
-        .map(|(n, line)| serde::json::parse(line).map_err(|e| format!("{history}:{}: {e}", n + 1)))
-        .collect::<Result<_, _>>()?;
-    if entries.len() < 2 {
-        println!(
-            "bench-check: {} history entr{} at {history}; need 2+ to compare",
-            entries.len(),
-            if entries.len() == 1 { "y" } else { "ies" }
-        );
-        return Ok(());
-    }
-    let (last, prior) = entries.split_last().expect("len >= 2");
-    let field = |entry: &serde::json::Value, name: &str| {
-        entry.get(name).and_then(serde::json::Value::as_f64)
-    };
-    let mut failures = Vec::new();
-    for name in HISTORY_LOWER_BETTER {
-        let Some(current) = field(last, name) else {
-            continue;
-        };
-        let best = prior
-            .iter()
-            .filter_map(|e| field(e, name))
-            .fold(f64::INFINITY, f64::min);
-        if !best.is_finite() {
-            continue;
-        }
-        if current > best * (1.0 + max_regress) {
-            failures.push(format!(
-                "{name}: {current:.4} vs best {best:.4} (regressed > {:.0}%)",
-                max_regress * 100.0
-            ));
-        } else {
-            println!("ok {name}: {current:.4} (best {best:.4})");
-        }
-    }
-    for name in HISTORY_HIGHER_BETTER {
-        let Some(current) = field(last, name) else {
-            continue;
-        };
-        let best = prior
-            .iter()
-            .filter_map(|e| field(e, name))
-            .fold(f64::NEG_INFINITY, f64::max);
-        if !best.is_finite() {
-            continue;
-        }
-        if current < best * (1.0 - max_regress) {
-            failures.push(format!(
-                "{name}: {current:.4} vs best {best:.4} (regressed > {:.0}%)",
-                max_regress * 100.0
-            ));
-        } else {
-            println!("ok {name}: {current:.4} (best {best:.4})");
-        }
-    }
-    if failures.is_empty() {
-        println!(
-            "bench-check: latest entry within {:.0}% of the recorded trajectory",
-            max_regress * 100.0
-        );
-        Ok(())
-    } else {
-        Err(format!(
-            "bench trajectory regression: {}",
-            failures.join("; ")
-        ))
-    }
-}
-
 fn bench_info_main(argv: &[String]) -> Result<(), String> {
     let mut min_len = 20u32;
-    let mut check = false;
-    let mut max_regress = 0.20f64;
-    let mut history = "results/bench_history.jsonl".to_string();
     let mut args = argv.iter().cloned();
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -1042,22 +936,8 @@ fn bench_info_main(argv: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|e| format!("bad --min-len: {e}"))?
             }
-            "--check" => check = true,
-            "--max-regress" => {
-                max_regress = args
-                    .next()
-                    .ok_or("missing value for --max-regress")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-regress: {e}"))?
-            }
-            "--history" => {
-                history = args.next().ok_or("missing value for --history")?;
-            }
             other => return Err(format!("bench-info: unknown option {other}")),
         }
-    }
-    if check {
-        return bench_check(&history, max_regress);
     }
     let config = GpumemConfig::builder(min_len)
         .threads_per_block(128)

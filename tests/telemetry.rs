@@ -3,8 +3,8 @@
 //! once, stable names), the structured event journal (lifecycle,
 //! index-build, registry pin/unpin/evict, anomaly events) and its
 //! exact reconciliation against `Trace::stage_totals()`, deterministic
-//! uptime via an injected clock, and the `gpumem-cli metrics export` /
-//! `bench-info --check` surfaces.
+//! uptime via an injected clock, and the `gpumem-cli metrics export`
+//! surface.
 //!
 //! Re-bless the golden files after an intentional exposition change:
 //!
@@ -659,57 +659,4 @@ fn cli_metrics_export_emits_both_formats_and_a_journal() {
         names(written.get("metrics").unwrap().as_array().unwrap()),
         names(metrics)
     );
-}
-
-#[test]
-fn cli_bench_check_gates_the_recorded_trajectory() {
-    let dir = std::env::temp_dir().join("gpumem-telemetry-bench-check");
-    std::fs::create_dir_all(&dir).unwrap();
-    let history = dir.join("history.jsonl");
-    let entry = |wall: f64, qps: f64| {
-        format!(
-            "{{\"ts\":1,\"wall_s\":{wall},\"match_wall_s\":0.2,\"qps_batch\":{qps},\
-             \"seedmode_l300_modeled_ratio\":4.0,\"skewed_modeled_ratio\":1.0,\
-             \"sharded_modeled_ratio\":3.5,\"mems\":41040}}"
-        )
-    };
-    let check = |history: &std::path::Path| {
-        cli()
-            .args([
-                "bench-info",
-                "--check",
-                "--history",
-                history.to_str().unwrap(),
-            ])
-            .output()
-            .expect("binary runs")
-    };
-
-    // Within tolerance of the best recorded entry: pass.
-    std::fs::write(
-        &history,
-        format!("{}\n{}\n", entry(1.0, 50.0), entry(1.1, 46.0)),
-    )
-    .unwrap();
-    let ok = check(&history);
-    assert!(
-        ok.status.success(),
-        "in-tolerance trajectory must pass: {}",
-        String::from_utf8_lossy(&ok.stderr)
-    );
-
-    // A >20% wall-clock regression in the latest entry: fail.
-    std::fs::write(
-        &history,
-        format!("{}\n{}\n", entry(1.0, 50.0), entry(1.3, 50.0)),
-    )
-    .unwrap();
-    let bad = check(&history);
-    assert!(!bad.status.success(), "regression must fail the check");
-    let stderr = String::from_utf8(bad.stderr).unwrap();
-    assert!(stderr.contains("regression"), "got: {stderr}");
-
-    // A missing trajectory is a skip, not a failure (fresh checkout).
-    let none = check(&dir.join("absent.jsonl"));
-    assert!(none.status.success(), "missing history must not fail");
 }
